@@ -23,13 +23,13 @@ from .algebra import (AlgebraContext, NilPolynomial, AlgebraMap, Automorphism,
                       InternalCheckError)
 from .ideals import (Ideal, ideal_from_generators, ideal_from_span, zero_ideal,
                      base_ideal, power_of_max_ideal, apply_automorphism,
-                     associated_graded, truncate, is_arr, is_linear_ideal,
-                     regular_parameter)
+                     associated_graded, truncate, base_point, is_arr,
+                     is_linear_ideal, regular_parameter)
 from .reps import (NilTuple, InputInvariantError, evaluate, is_regular,
-                   has_regular_generator, is_cyclic, annihilator,
-                   multiplication_matrices, express_in_cyclic, conjugate,
-                   recover_conjugator, random_regular_tuple)
-from .moduli import (ModuliPoint, P1Element, base_point, fiber_coordinates,
+                   is_cyclic, annihilator, multiplication_matrices,
+                   express_in_cyclic, conjugate, recover_conjugator,
+                   random_regular_tuple)
+from .moduli import (ModuliPoint, P1Element, fiber_coordinates,
                      moduli_point, ideal_from_point, normal_form_ideal,
                      chart_section, gamma_factor, random_point, random_p1,
                      p1_action_bruteforce, p1_action_closed, p1_action_twisted,

@@ -212,13 +212,17 @@ def cmd_census(args) -> int:
     kwargs = {}
     if args.budget is not None:
         kwargs = {"point_budget": args.budget, "subspace_budget": args.budget}
+    skipped = {}
     try:
         report = census_mod.CensusReport(args.cq, args.cn, args.cp, **kwargs)
-    except census_mod.BudgetExceeded:
+    except census_mod.BudgetExceeded as exc:
         # counts alone may still fit the budget
         report = census_mod.CensusReport(args.cq, args.cn, args.cp,
                                          brute_force=False, **kwargs)
-    doc = {"command": "census", **report.to_dict()}
+        skipped = {"brute_force_skipped": str(exc)}
+        if not args.as_json:
+            print(f"brute-force oracle skipped: {exc}", file=sys.stderr)
+    doc = {"command": "census", **report.to_dict(), **skipped}
     _emit(args, doc, report.to_text())
     return EXIT_OK if report.counts_match else EXIT_INTERNAL
 

@@ -41,7 +41,10 @@ class Fp:
         self.val = val % p
         self.p = p
 
-    def _check(self, other: "Fp") -> None:
+    def _check(self, other) -> None:
+        if not isinstance(other, Fp):
+            raise ContextMismatch(
+                f"cannot mix F_{self.p} with {type(other).__name__}")
         if self.p != other.p:
             raise ContextMismatch(f"mixed moduli F_{self.p} and F_{other.p}")
 
@@ -77,6 +80,12 @@ class Fp:
         if other.val == 0:
             raise ZeroDivisionError("division by zero in F_p")
         return Fp(self.val * pow(other.val, self.p - 2, self.p), self.p)
+
+    def __rtruediv__(self, other):
+        if isinstance(other, int):
+            other = Fp(other, self.p)
+        self._check(other)
+        return other / self
 
     def __neg__(self):
         return Fp(-self.val, self.p)

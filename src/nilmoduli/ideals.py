@@ -15,7 +15,7 @@ per-row lowest-degree components is exactly the associated graded ideal.
 from __future__ import annotations
 
 from .algebra import (AlgebraContext, NilPolynomial, Automorphism,
-                      InternalCheckError, make_context, linear_polynomial)
+                      InternalCheckError, make_context)
 from .linalg import RowSpace, nullspace
 
 
@@ -257,50 +257,66 @@ def truncate(ideal: Ideal, m: int) -> Ideal:
     return ideal_from_span(tgt, vecs, generators=[g for g in gens if not g.is_zero()])
 
 
-def _regularity_samples(ctx: AlgebraContext):
-    """Deterministic coefficient vectors that decide whether some linear
-    combination u of the generators satisfies u^(n-1) outside/inside a
-    given set.  Unit vectors come first (cheap common witnesses); then,
-    over Q, the integer grid {0..n-1}^q, which is a sound identity test
-    because each coefficient appears with degree <= n-1; over F_p the
-    whole space F_p^q is exhausted.
-    """
-    from itertools import product
-    field, q, n = ctx.field, ctx.q, ctx.n
-    for i in range(q):
-        yield [field.one if j == i else field.zero for j in range(q)]
-    rng = range(n) if field.name == "Q" else range(field_p(field))
-    for a in product(rng, repeat=q):
-        yield [field.scalar(v) for v in a]
+def _hyperplane_rows(ideal: Ideal):
+    """{pivot: degree-1 part} of the rows with a degree-1 pivot.
+
+    The order is graded, so these rows restrict to the RREF basis of the
+    span H of the degree-1 parts of the ideal; every other row is zero in
+    degree 1.  Keys and parts index x_1..x_q from 0."""
+    ctx = ideal.ctx
+    lo, hi = ctx.deg_start[1], ctx.deg_start[2]
+    return {p - lo: row[lo:hi] for row, p in zip(ideal.rows, ideal.pivots)
+            if lo <= p < hi}
 
 
-def field_p(field) -> int:
-    return field.p
+def base_point(ideal: Ideal):
+    """(chart, covector) of the hyperplane H spanned by the degree-1 parts
+    of the ideal: c spans the annihilator of H, and the chart is the
+    index of its first nonzero entry, on which c is normalized to 1.
+    Fails unless H is a hyperplane, which for a colength-n ideal is
+    exactly the regular-annihilator condition (see is_arr)."""
+    ctx = ideal.ctx
+    field = ctx.field
+    rows = _hyperplane_rows(ideal)
+    if len(rows) != ctx.q - 1:
+        raise ValueError(
+            f"degree-1 span has dimension {len(rows)}, expected {ctx.q - 1}")
+    free = next(j for j in range(ctx.q) if j not in rows)
+    c = [field.zero] * ctx.q
+    c[free] = field.one
+    for j, part in rows.items():
+        c[j] = -part[free]
+    k = next(i for i, v in enumerate(c) if v)
+    lead = c[k]
+    return k + 1, tuple(v / lead for v in c)
 
 
 def is_arr(ideal: Ideal) -> bool:
-    """True iff the ideal has colength n and some linear combination u of
-    the generators satisfies u^(n-1) not in the ideal.
+    """True iff the ideal annihilates a regular tuple: it has colength n
+    and the degree-1 parts of its elements span a hyperplane H.
 
-    Linear u suffice: adding any element of m^2 to u perturbs u^(n-1) only
-    by terms of degree >= n, which are zero.
+    By Nakayama, H being a hyperplane means the maximal ideal of A/I is
+    generated by one linear form u, so A/I = k[u]/u^n.  If H is smaller,
+    the maximal ideal of A/I needs two generators, and every u^(n-1)
+    lies in the ideal; H = everything forces colength <= 1.
     """
     ctx = ideal.ctx
-    if ideal.colength != ctx.n:
-        return False
-    return regular_parameter(ideal) is not None
+    return ideal.colength == ctx.n and len(_hyperplane_rows(ideal)) == ctx.q - 1
 
 
 def regular_parameter(ideal: Ideal):
-    """Coefficients a with (sum a_i x_i)^(n-1) not in the ideal, or None."""
-    ctx = ideal.ctx
-    for a in _regularity_samples(ctx):
-        u = linear_polynomial(ctx, a)
-        if u.is_zero():
-            continue
-        if not ideal.contains(u ** (ctx.n - 1)):
-            return a
-    return None
+    """Unit coefficient vector e_k at the chart k of a regular-annihilator
+    ideal, or None when the ideal is not one (see is_arr).
+
+    x_k generates the maximal ideal of A/I, so x_k^(n-1) lies outside the
+    ideal; e_k is also the first unit vector with that property, since
+    each x_i with c_i = 0 is congruent modulo the ideal to an element of
+    m^2, whose (n-1)-th power is zero."""
+    if not is_arr(ideal):
+        return None
+    k, _ = base_point(ideal)
+    field = ideal.ctx.field
+    return [field.one if j == k - 1 else field.zero for j in range(ideal.ctx.q)]
 
 
 def is_linear_ideal(ideal: Ideal) -> bool:

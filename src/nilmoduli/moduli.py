@@ -29,7 +29,7 @@ from .algebra import (AlgebraContext, NilPolynomial, AlgebraMap, Automorphism,
                       invert, is_linearly_trivial, linear_polynomial)
 from .fields import PrimeField, QQ
 from .ideals import (Ideal, ideal_from_generators, apply_automorphism,
-                     base_ideal, power_of_max_ideal)
+                     base_ideal, base_point, power_of_max_ideal)
 from . import linalg
 
 
@@ -100,28 +100,7 @@ def random_point(ctx: AlgebraContext, rng: random.Random) -> ModuliPoint:
     return ModuliPoint(ctx, chart, c, b)
 
 
-# --- base covector and fiber coordinates --------------------------------
-
-def base_point(ideal: Ideal):
-    """(chart, covector) of the hyperplane spanned by the degree-1 parts of
-    the ideal.  Fails unless that span is a hyperplane, which for a
-    colength-n ideal is exactly the regular-annihilator condition."""
-    ctx = ideal.ctx
-    field = ctx.field
-    space = linalg.RowSpace(field, ctx.q)
-    for p in ideal.basis_polynomials():
-        space.insert(p.linear_coeffs())
-    if space.rank != ctx.q - 1:
-        raise ValueError(
-            f"degree-1 span has dimension {space.rank}, expected {ctx.q - 1}")
-    kernel = linalg.nullspace(field, space.rows, ctx.q)
-    assert len(kernel) == 1
-    c = kernel[0]
-    k = next(i for i, v in enumerate(c) if v)
-    lead = c[k]
-    c = tuple(v / lead for v in c)
-    return k + 1, c
-
+# --- fiber coordinates ---------------------------------------------------
 
 def fiber_coordinates(ideal: Ideal):
     """Fiber matrix b of a chart-normalized ideal (base covector e_1).

@@ -11,7 +11,6 @@ matrices on the canonical coset basis, and explicit conjugators.
 from __future__ import annotations
 
 import random
-from itertools import product
 
 from .algebra import AlgebraContext, NilPolynomial, InternalCheckError
 from .fields import PrimeField
@@ -89,63 +88,32 @@ def evaluate(t: NilTuple, f: NilPolynomial):
     return out
 
 
-def _linear_combination(t: NilTuple, coeffs):
-    n = t.ctx.n
-    out = linalg.zero_matrix(t.ctx.field, n)
-    for c, m in zip(coeffs, t.mats):
-        if c:
-            for r in range(n):
-                for s in range(n):
-                    if m[r][s]:
-                        out[r][s] = out[r][s] + c * m[r][s]
-    return out
-
-
-def _mat_power(mat, k: int):
-    out = mat
-    for _ in range(k - 1):
-        out = linalg.mat_mul(out, mat)
-    return out
-
-
 def _is_zero_matrix(m) -> bool:
     return not any(any(c for c in row) for row in m)
 
 
-def _witness_candidates(ctx: AlgebraContext):
-    """Unit vectors first, then the full decision grid (see ideals)."""
-    field, q, n = ctx.field, ctx.q, ctx.n
-    for i in range(q):
-        yield [field.one if j == i else field.zero for j in range(q)]
-    rng = range(n) if not isinstance(field, PrimeField) else range(field.p)
-    for a in product(rng, repeat=q):
-        yield [field.scalar(v) for v in a]
+def _regular_index(t: NilTuple):
+    """Index of the first N_i with N_i^(n-1) != 0, or None."""
+    return next((i for i in range(t.ctx.q)
+                 if not _is_zero_matrix(t._power(i, t.ctx.n - 1))), None)
 
 
 def is_regular(t: NilTuple):
     """(flag, witness): whether some linear combination u = sum a_i N_i has
-    u^(n-1) != 0, with the first witness vector a in deterministic order.
+    u^(n-1) != 0, with witness the unit vector e_i of the first N_i that
+    is regular on its own, or (False, None).
 
-    Linear combinations suffice for the general one-jordan-block test:
-    perturbing u by a product of two or more of the matrices changes
-    u^(n-1) only by terms that vanish.
+    Unit vectors suffice.  A regular u generates the commutant, so each
+    N_j = b_j u + (higher powers of u) and sum a_j b_j = 1; any N_j with
+    b_j != 0 is regular too.  Linear combinations suffice for the general
+    one-jordan-block test: perturbing u by a product of two or more of
+    the matrices changes u^(n-1) only by terms that vanish.
     """
-    n = t.ctx.n
-    for a in _witness_candidates(t.ctx):
-        u = _linear_combination(t, a)
-        if not _is_zero_matrix(_mat_power(u, n - 1)):
-            return True, a
-    return False, None
-
-
-def has_regular_generator(t: NilTuple) -> bool:
-    """The stricter-looking single-matrix test: some N_i alone has
-    N_i^(n-1) != 0.  Equivalent to is_regular for commuting tuples (each
-    N_j is a polynomial in any regular combination, and the linear
-    coefficients must span); kept separate so tests can compare."""
-    n = t.ctx.n
-    return any(not _is_zero_matrix(_mat_power(list(map(list, m)), n - 1))
-               for m in t.mats)
+    i = _regular_index(t)
+    if i is None:
+        return False, None
+    field = t.ctx.field
+    return True, [field.one if j == i else field.zero for j in range(t.ctx.q)]
 
 
 def is_cyclic(t: NilTuple) -> bool:
@@ -212,7 +180,7 @@ def express_in_cyclic(t: NilTuple, i: int, j: int) -> NilPolynomial:
     if not (1 <= i <= ctx.q) or not (1 <= j <= ctx.q):
         raise ValueError("matrix index out of range")
     ni = [list(r) for r in t.mats[i - 1]]
-    top = _mat_power(ni, n - 1)
+    top = t._power(i - 1, n - 1)
     v = None
     for k in range(n):
         if any(top[r][k] for r in range(n)):
@@ -254,14 +222,13 @@ def conjugate(t: NilTuple, g) -> NilTuple:
 def _cyclic_frame(t: NilTuple, ideal: Ideal):
     """Matrix whose columns are (coset monomial)(N) . v for the canonical
     coset basis of the annihilator, where v is the first standard basis
-    vector not killed by u^(n-1) for the regularity witness u."""
+    vector not killed by N_i^(n-1) for the first regular N_i."""
     ctx = t.ctx
     n = ctx.n
-    flag, a = is_regular(t)
-    if not flag:
+    i = _regular_index(t)
+    if i is None:
         raise ValueError("tuple is not regular")
-    u = _linear_combination(t, a)
-    top = _mat_power(u, n - 1) if n > 1 else u
+    top = t._power(i, n - 1)
     k = next(k for k in range(n) if any(top[r][k] for r in range(n)))
     v = [ctx.field.one if r == k else ctx.field.zero for r in range(n)]
     cols = []

@@ -177,6 +177,22 @@ def test_census_command(capsys):
     assert doc["counts_match"]
 
 
+def test_census_reports_skipped_oracle(capsys):
+    code, out, err = run(capsys, "census", "2", "4", "2", "--budget", "1000")
+    assert code == 0
+    assert err == ("brute-force oracle skipped: "
+                   "echelon sweep exceeded the budget 1000\n")
+    assert "brute-force" not in out
+    code, out, err = run(capsys, "--json", "census", "2", "4", "2",
+                         "--budget", "1000")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["brute_force_all"] is None
+    assert doc["brute_force_skipped"] == "echelon sweep exceeded the budget 1000"
+    code, out, err = run(capsys, "--json", "census", "2", "3", "2")
+    assert err == "" and "brute_force_skipped" not in json.loads(out)
+
+
 def test_census_budget_exit(capsys):
     code, _, err = run(capsys, "--budget", "2", "census", "2", "3", "2")
     assert code == 4

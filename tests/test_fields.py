@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,15 @@ def test_prime_field_division_by_zero():
 def test_mixed_moduli_rejected():
     with pytest.raises(ContextMismatch):
         Fp(1, 3) + Fp(1, 5)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+@pytest.mark.parametrize("swap", [False, True])
+def test_mixed_fields_rejected(op, swap):
+    a, b = Fp(2, 5), Fraction(1, 2)
+    with pytest.raises(ContextMismatch):
+        op(b, a) if swap else op(a, b)
 
 
 def test_non_prime_modulus_rejected():

@@ -7,33 +7,20 @@ import pytest
 from nilmoduli import (InputInvariantError, NilTuple,
                        annihilator, apply_automorphism, base_ideal,
                        automorphism_from_images, conjugate, evaluate,
-                       express_in_cyclic, has_regular_generator,
+                       express_in_cyclic,
                        ideal_from_generators, invert, is_cyclic, is_regular,
                        make_context, moduli_point, multiplication_matrices,
                        power_of_max_ideal, random_regular_tuple,
                        recover_conjugator)
 from nilmoduli.linalg import mat_eq, mat_mul
 
-from conftest import shift_matrix, x
-
-
-def e_matrix(field, n, r, c):
-    """Elementary matrix with a single 1 at (row r, col c), 1-based."""
-    m = [[field.zero] * n for _ in range(n)]
-    m[r - 1][c - 1] = field.one
-    return m
+from conftest import e_matrix, grid_witness, shift_matrix, x
 
 
 @pytest.fixture
 def jj2(ctx23):
     f = ctx23.field
     return NilTuple(ctx23, [shift_matrix(f, 3), shift_matrix(f, 3, 2)])
-
-
-@pytest.fixture
-def cyclic_not_regular(ctx23):
-    f = ctx23.field
-    return NilTuple(ctx23, [e_matrix(f, 3, 2, 1), e_matrix(f, 3, 3, 1)])
 
 
 # --- validation ---------------------------------------------------------
@@ -214,8 +201,8 @@ def test_express_consistency(ctx34):
 
 
 def has_single_regular(t, i):
-    from nilmoduli.reps import _mat_power, _is_zero_matrix
-    return not _is_zero_matrix(_mat_power([list(r) for r in t.mats[i]], t.ctx.n - 1))
+    from nilmoduli.reps import _is_zero_matrix
+    return not _is_zero_matrix(t._power(i, t.ctx.n - 1))
 
 
 def test_express_rejects_irregular_index(ctx23, cyclic_not_regular):
@@ -277,10 +264,9 @@ def test_equal_points_conjugate_distinct_points_not(ctx24):
 def test_single_generator_regularity_matches_general():
     # exhaustive check over every regular-annihilator ideal in the small
     # finite-field censuses: the tuple always has a single regular matrix,
-    # so the one-matrix test and the linear-combination test agree
+    # so the unit-vector test finds the grid search's first witness
     from nilmoduli import enumerate_moduli_points, ideal_from_point
     for (q, n, p) in [(2, 3, 2), (2, 3, 3), (2, 4, 2), (3, 3, 2)]:
         for pt in enumerate_moduli_points(q, n, p):
             t = multiplication_matrices(ideal_from_point(pt))
-            assert is_regular(t)[0]
-            assert has_regular_generator(t)
+            assert is_regular(t) == (True, grid_witness(t))
