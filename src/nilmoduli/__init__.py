@@ -20,7 +20,7 @@ from .algebra import (AlgebraContext, NilPolynomial, AlgebraMap, Automorphism,
                       make_context, lift_linear, compose, invert,
                       automorphism_from_images, identity_automorphism,
                       filtration_level, is_linearly_trivial, linear_polynomial,
-                      InternalCheckError)
+                      InternalCheckError, BudgetExceeded)
 from .ideals import (Ideal, ideal_from_generators, ideal_from_span, zero_ideal,
                      base_ideal, power_of_max_ideal, apply_automorphism,
                      associated_graded, truncate, base_point, is_arr,
@@ -37,7 +37,7 @@ from .moduli import (ModuliPoint, P1Element, fiber_coordinates,
                      transition_map, linearity_witness,
                      universal_ideal_specialize, embed_from_two_variables,
                      dimension_report, DimensionReport, zero_fiber)
-from .census import (CensusReport, BudgetExceeded, enumerate_moduli_points,
+from .census import (CensusReport, enumerate_moduli_points,
                      brute_force_ideals, stratify_by_graded,
                      moduli_count_formula, ideal_key)
 

@@ -26,6 +26,14 @@ class InternalCheckError(RuntimeError):
     """A structural property the implementation relies on failed to hold."""
 
 
+class BudgetExceeded(RuntimeError):
+    """An enumeration would exceed its configured hard cap."""
+
+
+# Largest algebra dimension C(q+n-1, n-1) a context may enumerate.
+MAX_DIM = 10 ** 5
+
+
 def _monomials(q: int, n: int) -> list[tuple[int, ...]]:
     def forms(deg, nvars):
         if nvars == 1:
@@ -49,6 +57,12 @@ class AlgebraContext:
             raise ValueError(f"q must be >= 1, got {q}")
         if n < 2:
             raise ValueError(f"n must be >= 2, got {n}")
+        lo, hi, dim = min(q, n - 1), max(q, n - 1), 1
+        for i in range(1, lo + 1):  # dim = C(hi+i, i): at least doubles
+            dim = dim * (hi + i) // i
+            if dim > MAX_DIM:
+                raise BudgetExceeded(f"the algebra for q={q}, n={n} has more "
+                                     f"than {MAX_DIM} monomials")
         self.q = q
         self.n = n
         self.field = field
@@ -226,13 +240,6 @@ class NilPolynomial:
             e = tuple(1 if j == i else 0 for j in range(self.ctx.q))
             out.append(self.terms.get(e, self.ctx.field.zero))
         return out
-
-    def degree_component(self, d: int) -> "NilPolynomial":
-        return NilPolynomial(self.ctx, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def in_power_of_max_ideal(self, j: int) -> bool:
-        """True iff every term has total degree >= j."""
-        return all(sum(e) >= j for e in self.terms)
 
     def to_vector(self) -> list:
         vec = [self.ctx.field.zero] * self.ctx.dim

@@ -19,17 +19,13 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebra import make_context
+from .algebra import BudgetExceeded, make_context
 from .fields import PrimeField
 from .ideals import Ideal, ideal_from_span, is_arr, associated_graded
 from .moduli import ModuliPoint, ideal_from_point
 
 DEFAULT_POINT_BUDGET = 10 ** 6
 DEFAULT_SUBSPACE_BUDGET = 10 ** 7
-
-
-class BudgetExceeded(RuntimeError):
-    """An enumeration would exceed its configured hard cap."""
 
 
 def moduli_count_formula(q: int, n: int, p: int) -> int:

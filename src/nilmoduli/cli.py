@@ -15,8 +15,8 @@ import sys
 
 from . import census as census_mod
 from . import moduli, reps, serialize
-from .algebra import InternalCheckError, make_context
-from .fields import parse_field
+from .algebra import BudgetExceeded, InternalCheckError, make_context
+from .fields import ContextMismatch, parse_field
 from .reps import InputInvariantError
 from .serialize import SCHEMA, ParseError
 
@@ -154,6 +154,8 @@ def cmd_compare(args) -> int:
     else:
         p1 = moduli.moduli_point(reps.annihilator(t1))
         p2 = moduli.moduli_point(reps.annihilator(t2))
+        if p1 == p2:
+            raise InternalCheckError("tuples with equal moduli points found not conjugate")
         if p1.chart != p2.chart or p1.c != p2.c:
             differs = "base covector"
         else:
@@ -215,7 +217,7 @@ def cmd_census(args) -> int:
     skipped = {}
     try:
         report = census_mod.CensusReport(args.cq, args.cn, args.cp, **kwargs)
-    except census_mod.BudgetExceeded as exc:
+    except BudgetExceeded as exc:
         # counts alone may still fit the budget
         report = census_mod.CensusReport(args.cq, args.cn, args.cp,
                                          brute_force=False, **kwargs)
@@ -297,10 +299,10 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except InputInvariantError as exc:
+    except (InputInvariantError, ContextMismatch) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except census_mod.BudgetExceeded as exc:
+    except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (InternalCheckError, AssertionError) as exc:

@@ -61,10 +61,6 @@ class Ideal:
     def contains(self, f: NilPolynomial) -> bool:
         return self.reduce(f).is_zero()
 
-    def contains_ideal(self, other: "Ideal") -> bool:
-        sp = self._space()
-        return all(sp.contains(list(r)) for r in other.rows)
-
     def verify_closure(self) -> None:
         """Check x_i * row stays in the span for every generator and row."""
         sp = self._space()

@@ -163,10 +163,3 @@ def mat_eq(a, b) -> bool:
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
-
-
-def column_rank(field, a) -> int:
-    space = RowSpace(field, len(a))
-    for col in transpose(a):
-        space.insert(col)
-    return space.rank

@@ -102,31 +102,60 @@ def random_point(ctx: AlgebraContext, rng: random.Random) -> ModuliPoint:
 
 # --- fiber coordinates ---------------------------------------------------
 
-def fiber_coordinates(ideal: Ideal):
-    """Fiber matrix b of a chart-normalized ideal (base covector e_1).
+def _fiber_in_quotient(ctx: AlgebraContext, k: int, c, coset):
+    """Fiber matrix b of a regular ideal I on chart k with covector c
+    (c_k = 1), read in A/I = k[u]/u^n; coset gives the coordinates of a
+    class in some basis of A/I.  In the basis 1, x_k, ..., x_k^(n-1) the
+    section image x_j - c_j x_k of x_(i+1) (j != k, in index order) is
+    s_(i+1)(x_k), whose coefficients are row i of b."""
+    xk = NilPolynomial.variable(ctx, k)
+    frame = linalg.mat_inv(ctx.field, linalg.transpose([coset(xk ** d) for d in range(ctx.n)]))
+    if frame is None:
+        raise InternalCheckError(f"powers of x{k} do not span the quotient")
+    b = [linalg.mat_vec(frame, coset(NilPolynomial.variable(ctx, j) - xk.scale(c[j - 1])))
+         for j in range(1, ctx.q + 1) if j != k]
+    if any(s[0] or s[1] for s in b):
+        raise InternalCheckError("a section image is not in m^2 modulo the ideal")
+    return tuple(tuple(s[2:]) for s in b)
 
-    Each x_i, i >= 2, reduces modulo the ideal to a polynomial in x_1
-    alone with no constant or linear part; b collects its coefficients.
-    """
-    ctx = ideal.ctx
-    if ideal.colength != ctx.n:
-        raise ValueError(f"colength {ideal.colength} != {ctx.n}")
+
+def _ideal_coset(ideal: Ideal):
+    """Classes modulo a colength-n ideal, on its canonical coset basis."""
+    if ideal.colength != ideal.ctx.n:
+        raise ValueError(f"colength {ideal.colength} != {ideal.ctx.n}")
+    space, comp = ideal._space(), ideal.complement_monomials()
+
+    def coset(f: NilPolynomial):
+        red = space.reduce(f.to_vector())
+        return [red[m] for m in comp]
+    return coset
+
+
+def _point_coset(point: ModuliPoint):
+    """Classes modulo the ideal of a point, on the basis u^0..u^(n-1) of A/I =
+    k[u]/u^n, u written as x_1: x_chart is u, the others c_j u + s_i(u)."""
+    ctx = point.ctx
+    pure = [(d,) + (0,) * (ctx.q - 1) for d in range(ctx.n)]
+    rows = list(point.b)
+    rows.insert(point.chart - 1, (ctx.field.zero,) * (ctx.n - 2))
+    images = [NilPolynomial(ctx, dict(zip(pure[1:], (cj,) + tuple(row))))
+              for cj, row in zip(point.c, rows)]
+
+    def coset(f: NilPolynomial):
+        g = f.substitute(images)
+        return [g.terms.get(e, ctx.field.zero) for e in pure]
+    return coset
+
+
+def fiber_coordinates(ideal: Ideal):
+    """Fiber matrix b of a chart-normalized ideal (base covector e_1): each
+    x_i, i >= 2, is s_i(x_1) modulo the ideal, read on the basis 1, x_1,
+    ..., x_1^(n-1) of the quotient; b collects the coefficients."""
+    coset = _ideal_coset(ideal)
     k, c = base_point(ideal)
     if k != 1 or any(c[1:]):
         raise ValueError("ideal is not normalized onto the standard chart")
-    b = []
-    for i in range(2, ctx.q + 1):
-        red = ideal.reduce(NilPolynomial.variable(ctx, i))
-        row = [ctx.field.zero] * (ctx.n - 2)
-        for e, coef in red.terms.items():
-            d = sum(e)
-            if e[1:] != (0,) * (ctx.q - 1) or d < 2:
-                raise InternalCheckError(
-                    f"reduction of x{i} is not a pure power series in x1 "
-                    f"starting in degree 2: {red}")
-            row[d - 2] = coef
-        b.append(row)
-    return tuple(tuple(r) for r in b)
+    return _fiber_in_quotient(ideal.ctx, 1, c, coset)
 
 
 def normal_form_ideal(ctx: AlgebraContext, b) -> Ideal:
@@ -164,11 +193,12 @@ def chart_section(ctx: AlgebraContext, k: int, c) -> Automorphism:
 
 
 def moduli_point(ideal: Ideal) -> ModuliPoint:
-    """Complete conjugacy invariant of a regular-annihilator ideal."""
+    """Complete conjugacy invariant of a regular-annihilator ideal: its base
+    point (k, c) and the fiber matrix read in A/I, where x_j - c_j x_k is
+    s_i(x_k); the same b as pulling the ideal back by chart_section(k, c)."""
     k, c = base_point(ideal)
-    section = chart_section(ideal.ctx, k, c)
-    normalized = apply_automorphism(invert(section), ideal)
-    return ModuliPoint(ideal.ctx, k, c, fiber_coordinates(normalized))
+    return ModuliPoint(ideal.ctx, k, c,
+                       _fiber_in_quotient(ideal.ctx, k, c, _ideal_coset(ideal)))
 
 
 def ideal_from_point(point: ModuliPoint) -> Ideal:
@@ -399,7 +429,8 @@ def fiber_scale(b, lam):
 
 def transition_map(point: ModuliPoint, target_chart: int) -> ModuliPoint:
     """Re-express a point in the coordinates of another chart.  The point
-    must lie on the target chart (nonzero covector entry there)."""
+    must lie on the target chart (nonzero covector entry there).  The new
+    fiber is read in the quotient k[u]/u^n of the point, without its ideal."""
     ctx = point.ctx
     l = target_chart
     if not 1 <= l <= ctx.q:
@@ -408,10 +439,8 @@ def transition_map(point: ModuliPoint, target_chart: int) -> ModuliPoint:
     if not scale:
         raise ValueError(f"point does not lie on chart {l}")
     c_new = tuple(v / scale for v in point.c)
-    ideal = ideal_from_point(point)
-    section = chart_section(ctx, l, c_new)
-    normalized = apply_automorphism(invert(section), ideal)
-    return ModuliPoint(ctx, l, c_new, fiber_coordinates(normalized))
+    return ModuliPoint(ctx, l, c_new,
+                       _fiber_in_quotient(ctx, l, c_new, _point_coset(point)))
 
 
 def linearity_witness(q: int, n: int, chart_from: int, chart_to: int,

@@ -14,7 +14,7 @@ import random
 
 from .algebra import AlgebraContext, NilPolynomial, InternalCheckError
 from .fields import PrimeField
-from .ideals import Ideal, ideal_from_span
+from .ideals import Ideal
 from . import linalg
 
 
@@ -23,9 +23,10 @@ class InputInvariantError(ValueError):
 
 
 class NilTuple:
-    """q commuting nilpotent n x n matrices; both properties are checked."""
+    """q commuting nilpotent n x n matrices; both properties are checked.
+    powers[i][k] is N_(i+1)^k for k = 0..n, kept from the nilpotency check."""
 
-    __slots__ = ("ctx", "mats", "_power_cache")
+    __slots__ = ("ctx", "mats", "powers")
 
     def __init__(self, ctx: AlgebraContext, mats):
         mats = [tuple(tuple(ctx.field.scalar(c) for c in row) for row in m)
@@ -43,22 +44,17 @@ class NilTuple:
                 if not linalg.mat_eq(ab, ba):
                     raise InputInvariantError(
                         f"matrices {i+1} and {j+1} do not commute")
+        powers = []
         for k, m in enumerate(mats):
-            pw = m
+            pw = [linalg.identity_matrix(ctx.field, n), m]
             for _ in range(n - 1):
-                pw = linalg.mat_mul(pw, m)
-            if any(any(c for c in row) for row in pw):
+                pw.append(linalg.mat_mul(pw[-1], m))
+            if not _is_zero_matrix(pw[n]):
                 raise InputInvariantError(f"matrix {k+1} is not nilpotent of order {n}")
+            powers.append(tuple(pw))
         self.ctx = ctx
         self.mats = tuple(mats)
-        self._power_cache = [{0: linalg.identity_matrix(ctx.field, n), 1: [list(r) for r in m]}
-                             for m in mats]
-
-    def _power(self, i: int, k: int):
-        cache = self._power_cache[i]
-        if k not in cache:
-            cache[k] = linalg.mat_mul(self._power(i, k - 1), cache[1])
-        return cache[k]
+        self.powers = tuple(powers)
 
     def __eq__(self, other):
         return (isinstance(other, NilTuple) and self.ctx.same(other.ctx)
@@ -77,7 +73,7 @@ def evaluate(t: NilTuple, f: NilPolynomial):
         term = None
         for i, k in enumerate(e):
             if k:
-                pw = t._power(i, k)
+                pw = t.powers[i][k]
                 term = pw if term is None else linalg.mat_mul(term, pw)
         if term is None:
             term = linalg.identity_matrix(t.ctx.field, n)
@@ -95,7 +91,7 @@ def _is_zero_matrix(m) -> bool:
 def _regular_index(t: NilTuple):
     """Index of the first N_i with N_i^(n-1) != 0, or None."""
     return next((i for i in range(t.ctx.q)
-                 if not _is_zero_matrix(t._power(i, t.ctx.n - 1))), None)
+                 if not _is_zero_matrix(t.powers[i][t.ctx.n - 1])), None)
 
 
 def is_regular(t: NilTuple):
@@ -128,17 +124,20 @@ def is_cyclic(t: NilTuple) -> bool:
 
 
 def annihilator(t: NilTuple) -> Ideal:
-    """The ideal of algebra elements acting as zero, as the null space of
-    the evaluation map on the monomial basis."""
+    """The ideal of algebra elements acting as zero: the null space of the
+    evaluation map on the monomial basis, in one elimination.  The columns
+    are eliminated in reverse monomial order, so each null vector, read
+    back in order, is 1 at its own free column and nonzero only on later
+    pivot columns (the coset basis): it is already a canonical RREF row."""
     ctx = t.ctx
     n = ctx.n
     cols = []
-    for e in ctx.monomials:
+    for e in reversed(ctx.monomials):
         mat = evaluate(t, NilPolynomial.monomial(ctx, e))
         cols.append([mat[r][s] for r in range(n) for s in range(n)])
-    # coefficient vectors c with sum_m c_m * eval(m) = 0
-    vecs = linalg.nullspace(ctx.field, linalg.transpose(cols), ctx.dim)
-    return ideal_from_span(ctx, vecs)
+    rows = [v[::-1] for v in reversed(linalg.nullspace(ctx.field, linalg.transpose(cols), ctx.dim))]
+    pivots = [next(k for k, c in enumerate(v) if c) for v in rows]
+    return Ideal(ctx, rows, pivots, [NilPolynomial.from_vector(ctx, v) for v in rows])
 
 
 def multiplication_matrices(ideal: Ideal, require_arr: bool = False) -> NilTuple:
@@ -171,42 +170,33 @@ def multiplication_matrices(ideal: Ideal, require_arr: bool = False) -> NilTuple
     return NilTuple(ctx, mats)
 
 
+def _krylov_frame(t: NilTuple, i: int):
+    """Columns v, N v, ..., N^(n-1) v for N = N_(i+1), with v the first
+    standard basis vector not killed by N^(n-1); they form a basis of k^n.
+    ValueError when N^(n-1) = 0."""
+    n = t.ctx.n
+    top = t.powers[i][n - 1]
+    k = next((k for k in range(n) if any(row[k] for row in top)), None)
+    if k is None:
+        raise ValueError(f"matrix {i + 1} is not regular (rank of N^{n-1} is 0)")
+    return [[pw[r][k] for pw in t.powers[i][:n]] for r in range(n)]
+
+
 def express_in_cyclic(t: NilTuple, i: int, j: int) -> NilPolynomial:
-    """The polynomial f with f(N_i) = N_j and zero constant term, computed
-    in the cyclic basis {v, N_i v, ..., N_i^(n-1) v}.  Requires
-    N_i^(n-1) != 0 (1-based indices)."""
+    """The polynomial f with f(N_i) = N_j and zero constant term: the
+    coordinates of N_j v in the Krylov frame v, N_i v, ..., N_i^(n-1) v
+    of N_i.  Requires N_i^(n-1) != 0 (1-based indices)."""
     ctx = t.ctx
-    n = ctx.n
     if not (1 <= i <= ctx.q) or not (1 <= j <= ctx.q):
         raise ValueError("matrix index out of range")
-    ni = [list(r) for r in t.mats[i - 1]]
-    top = t._power(i - 1, n - 1)
-    v = None
-    for k in range(n):
-        if any(top[r][k] for r in range(n)):
-            v = [ctx.field.one if r == k else ctx.field.zero for r in range(n)]
-            break
-    if v is None:
-        raise ValueError(f"matrix {i} is not regular (rank of N^{n-1} is 0)")
-    basis = []
-    w = v
-    for _ in range(n):
-        basis.append(w)
-        w = linalg.mat_vec(ni, w)
-    bm = linalg.transpose(basis)
-    binv = linalg.mat_inv(ctx.field, bm)
-    if binv is None:
-        raise InternalCheckError("cyclic vectors failed to form a basis")
-    target = linalg.mat_vec([list(r) for r in t.mats[j - 1]], v)
-    coeffs = linalg.mat_vec(binv, target)
+    frame = _krylov_frame(t, i - 1)
+    v = [row[0] for row in frame]
+    target = linalg.mat_vec(t.mats[j - 1], v)
+    coeffs = linalg.mat_vec(linalg.mat_inv(ctx.field, frame), target)
     if coeffs[0]:
         raise InternalCheckError("commutant polynomial has a constant term")
-    xi = NilPolynomial.variable(ctx, i)
-    out = NilPolynomial.zero(ctx)
-    for k in range(1, n):
-        if coeffs[k]:
-            out = out + (xi ** k).scale(coeffs[k])
-    return out
+    return NilPolynomial(ctx, {tuple(k if m == i - 1 else 0 for m in range(ctx.q)):
+                               coeffs[k] for k in range(1, ctx.n)})
 
 
 def conjugate(t: NilTuple, g) -> NilTuple:
@@ -219,43 +209,28 @@ def conjugate(t: NilTuple, g) -> NilTuple:
     return NilTuple(ctx, [linalg.mat_mul(linalg.mat_mul(g, m), ginv) for m in t.mats])
 
 
-def _cyclic_frame(t: NilTuple, ideal: Ideal):
-    """Matrix whose columns are (coset monomial)(N) . v for the canonical
-    coset basis of the annihilator, where v is the first standard basis
-    vector not killed by N_i^(n-1) for the first regular N_i."""
-    ctx = t.ctx
-    n = ctx.n
-    i = _regular_index(t)
-    if i is None:
-        raise ValueError("tuple is not regular")
-    top = t._power(i, n - 1)
-    k = next(k for k in range(n) if any(top[r][k] for r in range(n)))
-    v = [ctx.field.one if r == k else ctx.field.zero for r in range(n)]
-    cols = []
-    for mono_idx in ideal.complement_monomials():
-        mat = evaluate(t, NilPolynomial.monomial(ctx, ctx.monomials[mono_idx]))
-        cols.append(linalg.mat_vec(mat, v))
-    return linalg.transpose(cols)
-
-
 def recover_conjugator(t1: NilTuple, t2: NilTuple):
-    """A matrix g with (g N_i g^-1) = N'_i for all i, or None when the two
-    regular tuples are not simultaneously conjugate (distinct annihilators).
+    """A verified matrix g with (g N_i g^-1) = N'_i for all i, or None when
+    the two regular tuples are not simultaneously conjugate.
 
-    Both tuples are rebased onto the canonical coset frame of the shared
-    annihilator, so the output is deterministic and verified before return.
+    With i the first regular index of t1 and C, C' the Krylov frames of
+    N_i and N'_i, g = C' C^-1 sends f(N) v to f(N') v' for every f.  That
+    is well defined, and then a conjugator, exactly when the annihilators
+    agree, so checking g decides.  Conjugate tuples share their first
+    regular index; ValueError when either tuple is not regular.
     """
     t1.ctx.check_same(t2.ctx)
-    i1 = annihilator(t1)
-    if i1 != annihilator(t2):
+    i, i2 = _regular_index(t1), _regular_index(t2)
+    if i is None or i2 is None:
+        raise ValueError("tuple is not regular")
+    if i != i2:
         return None
-    c1 = _cyclic_frame(t1, i1)
-    c2 = _cyclic_frame(t2, i1)
-    g = linalg.mat_mul(c2, linalg.mat_inv(t1.ctx.field, c1))
-    check = conjugate(t1, g)
-    if check != t2:
-        raise InternalCheckError("conjugator failed verification")
-    return g
+    c1 = _krylov_frame(t1, i)
+    g = linalg.mat_mul(_krylov_frame(t2, i), linalg.mat_inv(t1.ctx.field, c1))
+    # g is invertible, so g N_j = N'_j g for all j is g N_j g^-1 = N'_j
+    ok = all(linalg.mat_eq(linalg.mat_mul(g, a), linalg.mat_mul(b, g))
+             for a, b in zip(t1.mats, t2.mats))
+    return g if ok else None
 
 
 def random_regular_tuple(ctx: AlgebraContext, seed: int,

@@ -2,8 +2,11 @@ from itertools import chain, product
 
 import pytest
 
-from nilmoduli import (NilPolynomial, NilTuple, PrimeField, evaluate,
-                       linear_polynomial, make_context)
+from nilmoduli import (NilPolynomial, NilTuple, PrimeField, apply_automorphism,
+                       chart_section, evaluate, fiber_coordinates,
+                       ideal_from_span, invert, linear_polynomial,
+                       make_context)
+from nilmoduli.linalg import nullspace, transpose
 
 
 def shift_matrix(field, n, power=1):
@@ -70,3 +73,23 @@ def grid_witness(target):
     grid = ([field.scalar(v) for v in a] for a in product(values, repeat=q))
     return next((a for a in chain(units, grid) if any(a) and top_survives(a)),
                 None)
+
+
+def two_pass_annihilator(t):
+    """The annihilator in two eliminations, the oracle for the one-pass
+    route: null space of the evaluation map, then an RREF of its span."""
+    ctx = t.ctx
+    n = ctx.n
+    cols = []
+    for e in ctx.monomials:
+        mat = evaluate(t, NilPolynomial.monomial(ctx, e))
+        cols.append([mat[r][s] for r in range(n) for s in range(n)])
+    return ideal_from_span(ctx, nullspace(ctx.field, transpose(cols), ctx.dim))
+
+
+def section_fiber(ideal, k, c):
+    """Fiber matrix by moving the ideal, the oracle for the quotient
+    reading: pull the ideal back by the chart section of (k, c) and read
+    the chart-normalized ideal."""
+    section = chart_section(ideal.ctx, k, c)
+    return fiber_coordinates(apply_automorphism(invert(section), ideal))

@@ -4,11 +4,12 @@ from math import comb
 
 import pytest
 
-from nilmoduli import (ContextMismatch, NilPolynomial, PrimeField,
-                       automorphism_from_images, compose, filtration_level,
+from nilmoduli import (BudgetExceeded, ContextMismatch, NilPolynomial,
+                       PrimeField, automorphism_from_images, compose, filtration_level,
                        identity_automorphism, invert, is_linearly_trivial,
                        lift_linear, linear_polynomial, make_context)
-from nilmoduli.algebra import AlgebraMap
+from nilmoduli import census
+from nilmoduli.algebra import MAX_DIM, AlgebraContext, AlgebraMap
 from nilmoduli.linalg import identity_matrix, mat_eq, mat_mul
 
 from conftest import x
@@ -240,3 +241,11 @@ def test_filtration_additivity_mod_next_level():
                 xi = x(ctx, i + 1)
                 diff = (st.images[i] - xi) - (s.images[i] - xi) - (t.images[i] - xi)
                 assert diff.is_zero() or diff.order() >= j + 3
+
+
+def test_context_dimension_cap():
+    assert BudgetExceeded is census.BudgetExceeded
+    assert AlgebraContext(1, MAX_DIM, PrimeField(2)).dim == MAX_DIM
+    for q, n in [(1, MAX_DIM + 1), (30, 30), (10 ** 9, 10 ** 9)]:
+        with pytest.raises(BudgetExceeded):
+            make_context(q, n)

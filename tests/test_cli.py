@@ -229,3 +229,36 @@ def test_classify_non_cyclic_exits_3(capsys, tmp_path, ctx23):
     doc = json.loads(out)
     assert not doc["cyclic"]
     assert "colength" in doc["error"]
+
+
+def test_compare_across_contexts_exits_3(capsys, tmp_path, jj2_file, ctx24):
+    other = tmp_path / "other.json"
+    f = ctx24.field
+    write_tuple(other, 2, 4, [shift_matrix(f, 4), shift_matrix(f, 4, 2)])
+    for mode in ("--text", "--json"):
+        code, out, err = run(capsys, mode, "compare", jj2_file, str(other))
+        assert code == 3 and out == ""
+        assert err == ("invalid input: context mismatch: (q=2, n=3, Q) vs "
+                       "(q=2, n=4, Q)\n")
+
+
+def test_compare_checks_a_negative_verdict(capsys, monkeypatch, jj2_file):
+    # a conjugator search that wrongly says "not conjugate" is caught by the
+    # independent comparison of the two moduli points
+    monkeypatch.setattr("nilmoduli.reps.recover_conjugator", lambda a, b: None)
+    code, _, err = run(capsys, "compare", jj2_file, jj2_file)
+    assert code == 5
+    assert "equal moduli points" in err
+
+
+def test_oversized_algebra_exits_4(capsys, tmp_path):
+    code, out, err = run(capsys, "sample", "--q", "30", "--n", "30")
+    assert code == 4 and out == ""
+    assert err == ("budget exceeded: the algebra for q=30, n=30 has more than "
+                   "100000 monomials\n")
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"context": {"q": 30, "n": 30, "field": "Q"},
+                                "matrices": []}))
+    code, out, err = run(capsys, "--json", "classify", str(path))
+    assert code == 4 and out == ""
+    assert err.startswith("budget exceeded: the algebra for q=30, n=30")

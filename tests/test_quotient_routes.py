@@ -1,0 +1,135 @@
+"""The one-pass routes against the dim-sized routes kept as oracles.
+
+annihilator eliminates once and must give the two-pass ideal; moduli_point
+and transition_map read fiber coordinates in the quotient and must agree
+with pulling the ideal back by the chart section; recover_conjugator
+decides conjugacy by the Krylov frame alone.
+"""
+
+import random
+
+import pytest
+
+from nilmoduli import (QQ, ModuliPoint, NilTuple, PrimeField, annihilator,
+                       brute_force_ideals, conjugate, ideal_from_point, is_arr,
+                       is_regular, make_context, moduli_count_formula,
+                       moduli_point, multiplication_matrices,
+                       random_regular_tuple, recover_conjugator, transition_map)
+
+from conftest import (e_matrix, section_fiber, shift_matrix,
+                      two_pass_annihilator)
+from test_regularity import mixed, non_curvilinear
+
+F5 = PrimeField(5)
+
+
+def draw(field, rng, nonzero=False):
+    return field.scalar(rng.choice((-2, -1, 1, 2) if nonzero else (-2, -1, 0, 1, 2)))
+
+
+def point_on_chart(ctx, chart, rng, all_nonzero=False):
+    """Random point on the chart; canonical unless all_nonzero, which also
+    fills the covector entries before the chart."""
+    field = ctx.field
+    c = [field.zero] * ctx.q
+    for j in range(ctx.q):
+        if j > chart - 1 or all_nonzero:
+            c[j] = draw(field, rng, all_nonzero)
+    c[chart - 1] = field.one
+    b = [[draw(field, rng) for _ in range(ctx.n - 2)] for _ in range(ctx.q - 1)]
+    return ModuliPoint(ctx, chart, c, b)
+
+
+def sample_tuples(field):
+    """Regular, cyclic non-regular and non-cyclic tuples over the field."""
+    out = []
+    for (q, n) in [(2, 3), (3, 4)]:
+        ctx = make_context(q, n, field)
+        out += [random_regular_tuple(ctx, seed) for seed in (1, 2)]
+        out.append(mixed(multiplication_matrices(non_curvilinear(ctx)))
+                   if q > 2 else
+                   NilTuple(ctx, [e_matrix(ctx.field, 3, 2, 1),
+                                  e_matrix(ctx.field, 3, 3, 1)]))
+    ctx = make_context(2, 3, field)
+    zero = [[ctx.field.zero] * 3 for _ in range(3)]
+    out.append(NilTuple(ctx, [zero, zero]))
+    out.append(NilTuple(ctx, [e_matrix(ctx.field, 3, 2, 1), zero]))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_annihilator_matches_two_pass(field):
+    kinds = set()
+    for t in sample_tuples(field):
+        got, want = annihilator(t), two_pass_annihilator(t)
+        assert got == want
+        assert got.pivots == want.pivots
+        assert got.generators == want.generators
+        kinds.add((got.colength == t.ctx.n, is_regular(t)[0]))
+    assert kinds == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("q,n,p", [(2, 3, 3), (2, 4, 2), (3, 3, 2)])
+def test_moduli_point_matches_section_route_on_census(q, n, p):
+    _, ideals = brute_force_ideals(q, n, p)
+    regular = [ideal for ideal in ideals if is_arr(ideal)]
+    assert len(regular) == moduli_count_formula(q, n, p)
+    for ideal in regular:
+        point = moduli_point(ideal)
+        assert point.b == section_fiber(ideal, point.chart, point.c)
+
+
+def test_moduli_point_matches_section_route_on_every_chart():
+    rng = random.Random(41)
+    for (q, n) in [(2, 5), (3, 4), (4, 4)]:
+        ctx = make_context(q, n)
+        for chart in range(1, q + 1):
+            point = point_on_chart(ctx, chart, rng)
+            ideal = ideal_from_point(point)
+            assert moduli_point(ideal) == point
+            assert point.b == section_fiber(ideal, chart, point.c)
+
+
+def test_transition_map_matches_section_route():
+    rng = random.Random(43)
+    ctx = make_context(3, 4)
+    for chart in range(1, 4):
+        for _ in range(2):
+            point = point_on_chart(ctx, chart, rng, all_nonzero=True)
+            ideal = ideal_from_point(point)
+            for target in range(1, 4):
+                if target == chart:
+                    continue
+                c = tuple(v / point.c[target - 1] for v in point.c)
+                want = ModuliPoint(ctx, target, c, section_fiber(ideal, target, c))
+                assert transition_map(point, target) == want
+
+
+def test_recover_conjugator_by_krylov_frame():
+    rng = random.Random(47)
+    ctx = make_context(3, 4, F5)
+    for chart in range(1, 4):
+        point = point_on_chart(ctx, chart, rng)
+        other = point
+        while other == point:
+            other = point_on_chart(ctx, chart, rng)
+        t1, t2, t3 = (random_regular_tuple(ctx, seed, point=pt)
+                      for seed, pt in ((1, point), (2, point), (3, other)))
+        g = recover_conjugator(t1, t2)
+        assert g is not None and conjugate(t1, g) == t2
+        # same first regular index, distinct points
+        assert is_regular(t1) == is_regular(t3)
+        assert recover_conjugator(t1, t3) is None
+    # different first regular index
+    ctx = make_context(2, 3, F5)
+    j = shift_matrix(ctx.field, 3)
+    zero = [[ctx.field.zero] * 3 for _ in range(3)]
+    assert recover_conjugator(NilTuple(ctx, [j, zero]), NilTuple(ctx, [zero, j])) is None
+
+
+def test_recover_conjugator_rejects_non_regular(cyclic_not_regular):
+    regular = random_regular_tuple(cyclic_not_regular.ctx, 5)
+    for pair in [(cyclic_not_regular, cyclic_not_regular),
+                 (regular, cyclic_not_regular), (cyclic_not_regular, regular)]:
+        with pytest.raises(ValueError):
+            recover_conjugator(*pair)

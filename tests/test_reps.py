@@ -202,7 +202,7 @@ def test_express_consistency(ctx34):
 
 def has_single_regular(t, i):
     from nilmoduli.reps import _is_zero_matrix
-    return not _is_zero_matrix(t._power(i, t.ctx.n - 1))
+    return not _is_zero_matrix(t.powers[i][t.ctx.n - 1])
 
 
 def test_express_rejects_irregular_index(ctx23, cyclic_not_regular):
