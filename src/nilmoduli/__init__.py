@@ -9,8 +9,8 @@ The library computes, over Q or F_p with exact arithmetic throughout:
 * commuting nilpotent tuples, their annihilator ideals, cyclic bases and
   explicit simultaneous conjugators;
 * moduli coordinates (base covector on projective space plus fiber
-  matrix), chart sections and transitions, stabilizer actions, a versal
-  generator family and the two-variable embedding;
+  matrix) of ideals and tuples, chart transitions, stabilizer actions,
+  a versal generator family and the two-variable embedding;
 * finite-field censuses of moduli points against a brute-force ideal
   sweep, stratified by associated graded type.
 """
@@ -30,8 +30,8 @@ from .reps import (NilTuple, InputInvariantError, evaluate, is_regular,
                    express_in_cyclic, conjugate, recover_conjugator,
                    random_regular_tuple)
 from .moduli import (ModuliPoint, P1Element, fiber_coordinates,
-                     moduli_point, ideal_from_point, normal_form_ideal,
-                     chart_section, gamma_factor, random_point, random_p1,
+                     moduli_point, tuple_point, ideal_from_point,
+                     normal_form_ideal, gamma_factor, random_point, random_p1,
                      p1_action_bruteforce, p1_action_closed, p1_action_twisted,
                      p1_weight_action, weight_scale, fiber_add, fiber_scale,
                      transition_map, linearity_witness,

@@ -152,8 +152,7 @@ def cmd_compare(args) -> int:
         text = "conjugate\nconjugator rows:\n" + "\n".join(
             "  [" + ", ".join(t1.ctx.field.format(c) for c in row) + "]" for row in g)
     else:
-        p1 = moduli.moduli_point(reps.annihilator(t1))
-        p2 = moduli.moduli_point(reps.annihilator(t2))
+        p1, p2 = moduli.tuple_point(t1), moduli.tuple_point(t2)
         if p1 == p2:
             raise InternalCheckError("tuples with equal moduli points found not conjugate")
         if p1.chart != p2.chart or p1.c != p2.c:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .algebra import (AlgebraContext, NilPolynomial, Automorphism,
                       InternalCheckError, make_context)
-from .linalg import RowSpace, nullspace
+from .linalg import RowSpace, mat_vec, nullspace, transpose
 
 
 class Ideal:
@@ -162,19 +162,50 @@ def _monomial_multiple(ctx, vec, mono_idx):
     return out if hit else None
 
 
-def ideal_from_span(ctx: AlgebraContext, vectors, generators=None,
-                    check: bool = False) -> Ideal:
+def ideal_from_span(ctx: AlgebraContext, vectors, generators=None) -> Ideal:
     """Ideal whose underlying subspace is spanned by the given coefficient
     vectors.  The span must already be closed under multiplication by the
-    generators (pass check=True to verify)."""
+    generators."""
     sp = RowSpace(ctx.field, ctx.dim)
     sp.extend(vectors)
     gens = (list(generators) if generators is not None
             else [NilPolynomial.from_vector(ctx, r) for r in sp.basis()])
-    out = Ideal(ctx, sp.basis(), sp.pivots, gens)
-    if check:
-        out.verify_closure()
-    return out
+    return Ideal(ctx, sp.basis(), sp.pivots, gens)
+
+
+def orbit_ideal(ctx: AlgebraContext, mats, vecs) -> Ideal:
+    """The ideal of all f with f(N) w = 0 for every w in vecs, where N is a
+    q-tuple of commuting n x n matrices; generators are its basis rows.
+
+    The images m(N) w are built in monomial order, each one matrix-vector
+    product N_i (m'(N) w) with m = x_i m' earlier in the graded order.
+    Their null space is eliminated with the columns in reverse monomial
+    order, so each null vector, read back in order, is 1 at its own free
+    column and nonzero only on later pivot columns (the coset basis): it
+    is already a canonical RREF row."""
+    images = [None] * ctx.dim
+    images[0] = [list(w) for w in vecs]
+    for idx in range(ctx.dim):
+        for i, mat in enumerate(mats):
+            tgt = ctx.shift[i][idx]
+            if tgt is not None and images[tgt] is None:
+                images[tgt] = [mat_vec(mat, w) for w in images[idx]]
+    cols = [[c for w in img for c in w] for img in reversed(images)]
+    rows = [v[::-1] for v in reversed(nullspace(ctx.field, transpose(cols), ctx.dim))]
+    pivots = [next(k for k, c in enumerate(v) if c) for v in rows]
+    return Ideal(ctx, rows, pivots, [NilPolynomial.from_vector(ctx, v) for v in rows])
+
+
+def ideal_coset(ideal: Ideal):
+    """The map from a coefficient vector to the coordinates of its class
+    modulo the ideal on the canonical coset basis (the complement
+    monomials, in monomial order)."""
+    space, comp = ideal._space(), ideal.complement_monomials()
+
+    def coset(vec):
+        red = space.reduce(vec)
+        return [red[m] for m in comp]
+    return coset
 
 
 def zero_ideal(ctx: AlgebraContext) -> Ideal:

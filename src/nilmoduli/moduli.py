@@ -9,9 +9,13 @@ determined by, a pair of coordinates:
 * a fiber matrix b, rows i = 2..q and columns j = 2..n-1, read off from
   the chart-normalized ideal <x_i - s_i(x_1)> with s_i(z) = sum_j b_ij z^j.
 
-A fixed deterministic chart section moves any covector to the standard
-one, which makes the round trip ideal <-> (chart, c, b) exact in both
-directions and makes chart transitions reproducible functions of the
+A point is the algebra map A -> A/I = k[u]/u^n with x_chart -> u and
+every other x_j -> f_j(u) = c_j u + s_j(u), the rows of b holding the
+coefficients of the series s_j, and its ideal is the kernel of that map.
+Reading the f_j in a basis of the quotient gives the point of an ideal,
+of a tuple, or of a point on another chart; the kernel gives the ideal
+back, so the round trip ideal <-> (chart, c, b) is exact in both
+directions and chart transitions are reproducible functions of the
 coordinates.  The stabilizer of the standard hyperplane acts on fiber
 coordinates; the action is computed two independent ways (through the
 ideal, and by generator elimination in closed form) plus a one-parameter
@@ -29,7 +33,9 @@ from .algebra import (AlgebraContext, NilPolynomial, AlgebraMap, Automorphism,
                       invert, is_linearly_trivial, linear_polynomial)
 from .fields import PrimeField, QQ
 from .ideals import (Ideal, ideal_from_generators, apply_automorphism,
-                     base_ideal, base_point, power_of_max_ideal)
+                     base_ideal, base_point, ideal_coset, orbit_ideal,
+                     power_of_max_ideal)
+from .reps import NilTuple, _krylov_frame, _regular_index
 from . import linalg
 
 
@@ -100,111 +106,110 @@ def random_point(ctx: AlgebraContext, rng: random.Random) -> ModuliPoint:
     return ModuliPoint(ctx, chart, c, b)
 
 
-# --- fiber coordinates ---------------------------------------------------
+# --- points and their quotients ------------------------------------------
 
-def _fiber_in_quotient(ctx: AlgebraContext, k: int, c, coset):
-    """Fiber matrix b of a regular ideal I on chart k with covector c
-    (c_k = 1), read in A/I = k[u]/u^n; coset gives the coordinates of a
-    class in some basis of A/I.  In the basis 1, x_k, ..., x_k^(n-1) the
-    section image x_j - c_j x_k of x_(i+1) (j != k, in index order) is
-    s_(i+1)(x_k), whose coefficients are row i of b."""
-    xk = NilPolynomial.variable(ctx, k)
-    frame = linalg.mat_inv(ctx.field, linalg.transpose([coset(xk ** d) for d in range(ctx.n)]))
-    if frame is None:
+def _read_point(ctx: AlgebraContext, k: int, frame, classes) -> ModuliPoint:
+    """The point on chart k of a quotient A/I = k[u]/u^n with u = x_k.
+
+    frame has the classes of 1, x_k, ..., x_k^(n-1) as its columns and
+    classes holds those of x_1..x_q, all in one basis of A/I.  One inverse
+    writes each x_j as f_j(u) = c_j u + s_j(u): c_j = f_j[1], and the
+    coefficients of s_j (j != k, in index order) are the rows of b."""
+    inv = linalg.mat_inv(ctx.field, frame)
+    if inv is None:
         raise InternalCheckError(f"powers of x{k} do not span the quotient")
-    b = [linalg.mat_vec(frame, coset(NilPolynomial.variable(ctx, j) - xk.scale(c[j - 1])))
-         for j in range(1, ctx.q + 1) if j != k]
-    if any(s[0] or s[1] for s in b):
-        raise InternalCheckError("a section image is not in m^2 modulo the ideal")
-    return tuple(tuple(s[2:]) for s in b)
+    series = [linalg.mat_vec(inv, v) for v in classes]
+    if any(f[0] for f in series):
+        raise InternalCheckError("a generator has a constant term modulo the ideal")
+    return ModuliPoint(ctx, k, [f[1] for f in series],
+                       [f[2:] for j, f in enumerate(series, 1) if j != k])
 
 
-def _ideal_coset(ideal: Ideal):
-    """Classes modulo a colength-n ideal, on its canonical coset basis."""
-    if ideal.colength != ideal.ctx.n:
-        raise ValueError(f"colength {ideal.colength} != {ideal.ctx.n}")
-    space, comp = ideal._space(), ideal.complement_monomials()
-
-    def coset(f: NilPolynomial):
-        red = space.reduce(f.to_vector())
-        return [red[m] for m in comp]
-    return coset
-
-
-def _point_coset(point: ModuliPoint):
-    """Classes modulo the ideal of a point, on the basis u^0..u^(n-1) of A/I =
-    k[u]/u^n, u written as x_1: x_chart is u, the others c_j u + s_i(u)."""
-    ctx = point.ctx
-    pure = [(d,) + (0,) * (ctx.q - 1) for d in range(ctx.n)]
+def _series(point: ModuliPoint):
+    """Coefficients on 1, u, ..., u^(n-1) of the images f_j(u) of x_1..x_q
+    under A -> k[u]/u^n: f_chart = u, and the other x_j, in index order
+    with the rows of b, go to c_j u + s(u)."""
+    zero = point.ctx.field.zero
     rows = list(point.b)
-    rows.insert(point.chart - 1, (ctx.field.zero,) * (ctx.n - 2))
-    images = [NilPolynomial(ctx, dict(zip(pure[1:], (cj,) + tuple(row))))
-              for cj, row in zip(point.c, rows)]
+    rows.insert(point.chart - 1, (zero,) * (point.ctx.n - 2))
+    return [[zero, cj, *row] for cj, row in zip(point.c, rows)]
 
-    def coset(f: NilPolynomial):
-        g = f.substitute(images)
-        return [g.terms.get(e, ctx.field.zero) for e in pure]
-    return coset
+
+def _series_in_chart(point: ModuliPoint):
+    """The f_j(x_chart), j = 1..q, each congruent to x_j modulo the ideal."""
+    ctx, k = point.ctx, point.chart
+    pure = [tuple(d if m == k - 1 else 0 for m in range(ctx.q)) for d in range(ctx.n)]
+    return [NilPolynomial(ctx, dict(zip(pure, f))) for f in _series(point)]
+
+
+def _standard_point(ctx: AlgebraContext, b) -> ModuliPoint:
+    return ModuliPoint(ctx, 1, [ctx.field.one] + [ctx.field.zero] * (ctx.q - 1), b)
+
+
+def _multiplication(field, f):
+    """The matrix f(J) of multiplication by f on k[u]/u^n, basis u^0..u^(n-1)."""
+    n = len(f)
+    return [[f[r - s] if r >= s else field.zero for s in range(n)] for r in range(n)]
+
+
+def moduli_point(ideal: Ideal) -> ModuliPoint:
+    """Complete conjugacy invariant of a regular-annihilator ideal: its base
+    point (k, c) and the fiber matrix read in A/I by reduction, where x_j
+    is c_j x_k + s(x_k)."""
+    k, c = base_point(ideal)
+    ctx = ideal.ctx
+    if ideal.colength != ctx.n:
+        raise ValueError(f"colength {ideal.colength} != {ctx.n}")
+    coset = ideal_coset(ideal)
+    xk = NilPolynomial.variable(ctx, k)
+    frame = linalg.transpose([coset((xk ** d).to_vector()) for d in range(ctx.n)])
+    point = _read_point(ctx, k, frame, [coset(NilPolynomial.variable(ctx, j).to_vector())
+                                        for j in range(1, ctx.q + 1)])
+    if point.c != c:
+        raise InternalCheckError("the quotient reads a covector other than the base point")
+    return point
+
+
+def tuple_point(t: NilTuple) -> ModuliPoint:
+    """moduli_point(annihilator(t)) of a regular tuple, without the ideal.
+
+    With N = N_k the first regular matrix and v its Krylov start, f -> f(N) v
+    identifies A/I with k^n: the Krylov frame holds the classes of 1, x_k,
+    ..., x_k^(n-1), and N_j v that of x_j.  No N_j before N_k is regular,
+    so the point is canonical.  ValueError when the tuple is not regular."""
+    i = _regular_index(t)
+    if i is None:
+        raise ValueError("tuple is not regular")
+    frame = _krylov_frame(t, i)
+    v = [row[0] for row in frame]
+    return _read_point(t.ctx, i + 1, frame, [linalg.mat_vec(m, v) for m in t.mats])
 
 
 def fiber_coordinates(ideal: Ideal):
     """Fiber matrix b of a chart-normalized ideal (base covector e_1): each
     x_i, i >= 2, is s_i(x_1) modulo the ideal, read on the basis 1, x_1,
     ..., x_1^(n-1) of the quotient; b collects the coefficients."""
-    coset = _ideal_coset(ideal)
-    k, c = base_point(ideal)
-    if k != 1 or any(c[1:]):
+    point = moduli_point(ideal)
+    if point.chart != 1 or any(point.c[1:]):
         raise ValueError("ideal is not normalized onto the standard chart")
-    return _fiber_in_quotient(ideal.ctx, 1, c, coset)
+    return point.b
+
+
+def ideal_from_point(point: ModuliPoint) -> Ideal:
+    """Exact inverse of moduli_point (on canonical points): the kernel of
+    x_j -> f_j(u), i.e. the orbit kernel of the multiplications f_j(J) on
+    1 in k[u]/u^n, generated by x_j - f_j(x_chart) for j != chart."""
+    ctx = point.ctx
+    one = [ctx.field.one] + [ctx.field.zero] * (ctx.n - 1)
+    kernel = orbit_ideal(ctx, [_multiplication(ctx.field, f) for f in _series(point)], [one])
+    gens = [NilPolynomial.variable(ctx, j) - f
+            for j, f in enumerate(_series_in_chart(point), 1) if j != point.chart]
+    return Ideal(ctx, kernel.rows, kernel.pivots, gens)
 
 
 def normal_form_ideal(ctx: AlgebraContext, b) -> Ideal:
     """The chart-normalized ideal <x_i - s_i(x_1)> with coefficients b."""
-    x1 = NilPolynomial.variable(ctx, 1)
-    gens = []
-    for i in range(2, ctx.q + 1):
-        g = NilPolynomial.variable(ctx, i)
-        for j in range(2, ctx.n):
-            coef = b[i - 2][j - 2]
-            if coef:
-                g = g - (x1 ** j).scale(coef)
-        gens.append(g)
-    return ideal_from_generators(ctx, gens)
-
-
-def chart_section(ctx: AlgebraContext, k: int, c) -> Automorphism:
-    """Deterministic linear automorphism sending the standard-position
-    ideal to covector c on chart k (c_k must be 1): x_1 maps to x_k and
-    the remaining generators map, in index order, to x_i - c_i x_k, a
-    basis of the hyperplane of c."""
-    field = ctx.field
-    if c[k - 1] != field.one:
-        raise ValueError("covector is not normalized on the requested chart")
-    rows = []
-    rows.append([field.one if j == k - 1 else field.zero for j in range(ctx.q)])
-    for i in range(ctx.q):
-        if i == k - 1:
-            continue
-        row = [field.zero] * ctx.q
-        row[i] = field.one
-        row[k - 1] = row[k - 1] - c[i]
-        rows.append(row)
-    return lift_linear(ctx, rows)
-
-
-def moduli_point(ideal: Ideal) -> ModuliPoint:
-    """Complete conjugacy invariant of a regular-annihilator ideal: its base
-    point (k, c) and the fiber matrix read in A/I, where x_j - c_j x_k is
-    s_i(x_k); the same b as pulling the ideal back by chart_section(k, c)."""
-    k, c = base_point(ideal)
-    return ModuliPoint(ideal.ctx, k, c,
-                       _fiber_in_quotient(ideal.ctx, k, c, _ideal_coset(ideal)))
-
-
-def ideal_from_point(point: ModuliPoint) -> Ideal:
-    """Exact inverse of moduli_point (on canonical points)."""
-    section = chart_section(point.ctx, point.chart, point.c)
-    return apply_automorphism(section, normal_form_ideal(point.ctx, point.b))
+    return ideal_from_point(_standard_point(ctx, b))
 
 
 # --- factorization of linearly trivial automorphisms --------------------
@@ -212,18 +217,10 @@ def ideal_from_point(point: ModuliPoint) -> Ideal:
 def _gamma_from_fiber(ctx: AlgebraContext, b) -> Automorphism:
     """The automorphism fixing x_1 with x_i -> x_i - s_i(x_1); its inverse
     flips the sign of s, exactly, because x_1 is fixed."""
-    x1 = NilPolynomial.variable(ctx, 1)
-    fwd, inv = [x1], [x1]
-    for i in range(2, ctx.q + 1):
-        xi = NilPolynomial.variable(ctx, i)
-        s = NilPolynomial.zero(ctx)
-        for j in range(2, ctx.n):
-            coef = b[i - 2][j - 2]
-            if coef:
-                s = s + (x1 ** j).scale(coef)
-        fwd.append(xi - s)
-        inv.append(xi + s)
-    return Automorphism(AlgebraMap(ctx, fwd), AlgebraMap(ctx, inv))
+    x1, *s = _series_in_chart(_standard_point(ctx, b))
+    xs = [NilPolynomial.variable(ctx, i) for i in range(2, ctx.q + 1)]
+    return Automorphism(AlgebraMap(ctx, [x1] + [x - f for x, f in zip(xs, s)]),
+                        AlgebraMap(ctx, [x1] + [x + f for x, f in zip(xs, s)]))
 
 
 def gamma_factor(sigma: Automorphism):
@@ -339,16 +336,8 @@ def p1_action_closed(ctx: AlgebraContext, p: P1Element, b):
     field = ctx.field
     ginv = p.inverse
     u = linear_polynomial(ctx, list(p.matrix[0]))
-    x1 = NilPolynomial.variable(ctx, 1)
-    upow = {j: u ** j for j in range(2, ctx.n)}
-    s_at_u = []
-    for i in range(2, ctx.q + 1):
-        s = NilPolynomial.zero(ctx)
-        for j in range(2, ctx.n):
-            coef = b[i - 2][j - 2]
-            if coef:
-                s = s + upow[j].scale(coef)
-        s_at_u.append(s)
+    x1, *s = _series_in_chart(_standard_point(ctx, b))
+    s_at_u = [f.substitute([u] * ctx.q) for f in s]  # each s_i is in x_1 alone
     base = []
     for k in range(2, ctx.q + 1):
         t = NilPolynomial.zero(ctx)
@@ -429,18 +418,21 @@ def fiber_scale(b, lam):
 
 def transition_map(point: ModuliPoint, target_chart: int) -> ModuliPoint:
     """Re-express a point in the coordinates of another chart.  The point
-    must lie on the target chart (nonzero covector entry there).  The new
-    fiber is read in the quotient k[u]/u^n of the point, without its ideal."""
+    must lie on the target chart (nonzero covector entry there).  It is
+    read in its own quotient k[u]/u^n, without its ideal: the frame is
+    the Krylov sequence of f_l(u) on 1, and x_j has the class f_j(u)."""
     ctx = point.ctx
     l = target_chart
     if not 1 <= l <= ctx.q:
         raise ValueError(f"chart {l} out of range 1..{ctx.q}")
-    scale = point.c[l - 1]
-    if not scale:
+    if not point.c[l - 1]:
         raise ValueError(f"point does not lie on chart {l}")
-    c_new = tuple(v / scale for v in point.c)
-    return ModuliPoint(ctx, l, c_new,
-                       _fiber_in_quotient(ctx, l, c_new, _point_coset(point)))
+    series = _series(point)
+    u = _multiplication(ctx.field, series[l - 1])
+    krylov = [[ctx.field.one] + [ctx.field.zero] * (ctx.n - 1)]
+    for _ in range(ctx.n - 1):
+        krylov.append(linalg.mat_vec(u, krylov[-1]))
+    return _read_point(ctx, l, linalg.transpose(krylov), series)
 
 
 def linearity_witness(q: int, n: int, chart_from: int, chart_to: int,
@@ -509,17 +501,10 @@ def universal_ideal_specialize(ctx: AlgebraContext, a, b) -> Ideal:
     a = [[field.scalar(v) for v in row] for row in a]
     if linalg.mat_inv(field, a) is None:
         raise ValueError("coefficient matrix is singular")
-    u1 = linear_polynomial(ctx, a[0])
-    upow = {j: u1 ** j for j in range(2, ctx.n)}
-    gens = []
-    for i in range(2, ctx.q + 1):
-        g = linear_polynomial(ctx, a[i - 1])
-        for j in range(2, ctx.n):
-            coef = b[i - 2][j - 2]
-            if coef:
-                g = g - upow[j].scale(coef)
-        gens.append(g)
-    return ideal_from_generators(ctx, gens)
+    images = [linear_polynomial(ctx, row) for row in a]
+    _, *s = _series_in_chart(_standard_point(ctx, b))
+    return ideal_from_generators(ctx, [(NilPolynomial.variable(ctx, i) - f).substitute(images)
+                                       for i, f in enumerate(s, 2)])
 
 
 def embed_from_two_variables(ideal: Ideal, q_target: int) -> Ideal:

@@ -14,7 +14,7 @@ import random
 
 from .algebra import AlgebraContext, NilPolynomial, InternalCheckError
 from .fields import PrimeField
-from .ideals import Ideal
+from .ideals import Ideal, ideal_coset, is_arr, orbit_ideal
 from . import linalg
 
 
@@ -112,62 +112,46 @@ def is_regular(t: NilTuple):
     return True, [field.one if j == i else field.zero for j in range(t.ctx.q)]
 
 
-def is_cyclic(t: NilTuple) -> bool:
-    """Cyclic over the algebra iff dim(sum of images of the N_i) = n - 1:
-    the quotient by the radical action must be a line."""
-    ctx = t.ctx
-    space = linalg.RowSpace(ctx.field, ctx.n)
+def _module_generators(t: NilTuple):
+    """Unit vectors completing the span of the images of the N_i to k^n, in
+    index order.  Their classes span M/mM, so by Nakayama they generate
+    the module M = k^n over the algebra."""
+    n = t.ctx.n
+    space = linalg.RowSpace(t.ctx.field, n)
     for m in t.mats:
-        for col in linalg.transpose(m):
-            space.insert(list(col))
-    return space.rank == ctx.n - 1
+        space.extend(list(col) for col in linalg.transpose(m))
+    units = linalg.identity_matrix(t.ctx.field, n)
+    return [e for e in units if space.insert(e)]
+
+
+def is_cyclic(t: NilTuple) -> bool:
+    """Cyclic over the algebra iff one vector generates the module: the sum
+    of the images of the N_i has dimension n - 1."""
+    return len(_module_generators(t)) == 1
 
 
 def annihilator(t: NilTuple) -> Ideal:
-    """The ideal of algebra elements acting as zero: the null space of the
-    evaluation map on the monomial basis, in one elimination.  The columns
-    are eliminated in reverse monomial order, so each null vector, read
-    back in order, is 1 at its own free column and nonzero only on later
-    pivot columns (the coset basis): it is already a canonical RREF row."""
-    ctx = t.ctx
-    n = ctx.n
-    cols = []
-    for e in reversed(ctx.monomials):
-        mat = evaluate(t, NilPolynomial.monomial(ctx, e))
-        cols.append([mat[r][s] for r in range(n) for s in range(n)])
-    rows = [v[::-1] for v in reversed(linalg.nullspace(ctx.field, linalg.transpose(cols), ctx.dim))]
-    pivots = [next(k for k, c in enumerate(v) if c) for v in rows]
-    return Ideal(ctx, rows, pivots, [NilPolynomial.from_vector(ctx, v) for v in rows])
+    """The ideal of algebra elements acting as zero: the orbit kernel of
+    the module generators, since f(N) commutes with every m(N) and so
+    vanishes once it kills the generators.  A cyclic tuple gives a system
+    of n rows, one per coordinate of the single generator's orbit."""
+    return orbit_ideal(t.ctx, t.mats, _module_generators(t))
 
 
 def multiplication_matrices(ideal: Ideal, require_arr: bool = False) -> NilTuple:
     """The regular representation of A/I on the canonical coset basis (the
     non-pivot monomials in monomial order), for a colength-n ideal.  The
     annihilator of the result is the input ideal."""
-    from .ideals import is_arr
     ctx = ideal.ctx
     if ideal.colength != ctx.n:
         raise ValueError(f"colength {ideal.colength} != n = {ctx.n}")
     if require_arr and not is_arr(ideal):
         raise ValueError("ideal does not annihilate a regular tuple")
-    comp = ideal.complement_monomials()
-    pos = {idx: k for k, idx in enumerate(comp)}
-    space = ideal._space()
-    mats = []
-    for i in range(ctx.q):
-        mat = linalg.zero_matrix(ctx.field, ctx.n)
-        for c_col, mono_idx in enumerate(comp):
-            tgt = ctx.shift[i][mono_idx]
-            if tgt is None:
-                continue
-            vec = [ctx.field.zero] * ctx.dim
-            vec[tgt] = ctx.field.one
-            red = space.reduce(vec)
-            for idx, coef in enumerate(red):
-                if coef:
-                    mat[pos[idx]][c_col] = coef
-        mats.append(mat)
-    return NilTuple(ctx, mats)
+    coset, comp = ideal_coset(ideal), ideal.complement_monomials()
+    # column m of N_i is the class of x_i times the monomial m (zero if truncated)
+    return NilTuple(ctx, [linalg.transpose(
+        [coset([ctx.field.one if k == shift[m] else ctx.field.zero for k in range(ctx.dim)])
+         for m in comp]) for shift in ctx.shift])
 
 
 def _krylov_frame(t: NilTuple, i: int):

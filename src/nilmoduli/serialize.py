@@ -52,14 +52,12 @@ def poly_from_json(ctx: AlgebraContext, doc) -> NilPolynomial:
         raise ParseError(f"bad polynomial: {exc}") from exc
 
 
-def ideal_to_json(ideal: Ideal, canonical: bool = True) -> dict:
-    out = {"context": context_to_json(ideal.ctx),
-           "generators": [poly_to_json(g) for g in ideal.generators]}
-    if canonical:
-        fmt = ideal.ctx.field.format
-        out["rref"] = [[fmt(c) for c in row] for row in ideal.rows]
-        out["colength"] = ideal.colength
-    return out
+def ideal_to_json(ideal: Ideal) -> dict:
+    fmt = ideal.ctx.field.format
+    return {"context": context_to_json(ideal.ctx),
+            "generators": [poly_to_json(g) for g in ideal.generators],
+            "rref": [[fmt(c) for c in row] for row in ideal.rows],
+            "colength": ideal.colength}
 
 
 def ideal_from_json(doc) -> Ideal:

@@ -3,9 +3,9 @@ from itertools import chain, product
 import pytest
 
 from nilmoduli import (NilPolynomial, NilTuple, PrimeField, apply_automorphism,
-                       chart_section, evaluate, fiber_coordinates,
-                       ideal_from_span, invert, linear_polynomial,
-                       make_context)
+                       evaluate, fiber_coordinates, ideal_from_generators,
+                       ideal_from_span, invert, lift_linear,
+                       linear_polynomial, make_context)
 from nilmoduli.linalg import nullspace, transpose
 
 
@@ -93,3 +93,38 @@ def section_fiber(ideal, k, c):
     the chart-normalized ideal."""
     section = chart_section(ideal.ctx, k, c)
     return fiber_coordinates(apply_automorphism(invert(section), ideal))
+
+
+def chart_section(ctx, k, c):
+    """Deterministic linear automorphism sending the standard-position
+    ideal to covector c on chart k (c_k must be 1): x_1 maps to x_k and
+    the remaining generators map, in index order, to x_i - c_i x_k, a
+    basis of the hyperplane of c."""
+    field = ctx.field
+    if c[k - 1] != field.one:
+        raise ValueError("covector is not normalized on the requested chart")
+    rows = [[field.one if j == k - 1 else field.zero for j in range(ctx.q)]]
+    for i in range(ctx.q):
+        if i == k - 1:
+            continue
+        row = [field.zero] * ctx.q
+        row[i] = field.one
+        row[k - 1] = row[k - 1] - c[i]
+        rows.append(row)
+    return lift_linear(ctx, rows)
+
+
+def section_ideal(point):
+    """The ideal of a point by moving an ideal, the oracle for the orbit
+    kernel: the chart-normalized ideal <x_i - s_i(x_1)>, built from its
+    generators, pushed forward by the chart section of (chart, c)."""
+    ctx = point.ctx
+    x1 = NilPolynomial.variable(ctx, 1)
+    gens = []
+    for i, row in enumerate(point.b, 2):
+        g = NilPolynomial.variable(ctx, i)
+        for j, coef in enumerate(row, 2):
+            g = g - (x1 ** j).scale(coef)
+        gens.append(g)
+    section = chart_section(ctx, point.chart, point.c)
+    return apply_automorphism(section, ideal_from_generators(ctx, gens))

@@ -5,7 +5,7 @@ import pytest
 
 from nilmoduli import (P1Element, PrimeField, annihilator,
                        apply_automorphism, automorphism_from_images,
-                       base_ideal, base_point, chart_section, compose,
+                       base_ideal, base_point, compose,
                        dimension_report, embed_from_two_variables,
                        fiber_add, fiber_coordinates, fiber_scale,
                        gamma_factor, ideal_from_generators, ideal_from_point,
@@ -17,7 +17,7 @@ from nilmoduli import (P1Element, PrimeField, annihilator,
                        transition_map, universal_ideal_specialize,
                        weight_scale, zero_fiber, ModuliPoint, NilTuple)
 
-from conftest import shift_matrix, x
+from conftest import chart_section, shift_matrix, x
 from test_ideals import random_arr_ideal
 
 

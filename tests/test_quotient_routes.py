@@ -1,9 +1,12 @@
-"""The one-pass routes against the dim-sized routes kept as oracles.
+"""The quotient routes against the dim-sized routes kept as oracles.
 
-annihilator eliminates once and must give the two-pass ideal; moduli_point
-and transition_map read fiber coordinates in the quotient and must agree
-with pulling the ideal back by the chart section; recover_conjugator
-decides conjugacy by the Krylov frame alone.
+annihilator is the orbit kernel of the module generators and must give
+the two-pass ideal; ideal_from_point and normal_form_ideal are orbit
+kernels in k[u]/u^n and must give the ideals built from generators;
+moduli_point, transition_map and tuple_point read the point in a basis of
+the quotient and must agree with pulling the ideal back by the chart
+section and with the annihilator; recover_conjugator decides conjugacy by
+the Krylov frame alone.
 """
 
 import random
@@ -11,13 +14,16 @@ import random
 import pytest
 
 from nilmoduli import (QQ, ModuliPoint, NilTuple, PrimeField, annihilator,
-                       brute_force_ideals, conjugate, ideal_from_point, is_arr,
+                       brute_force_ideals, conjugate, enumerate_moduli_points,
+                       ideal_from_generators, ideal_from_point, is_arr,
                        is_regular, make_context, moduli_count_formula,
                        moduli_point, multiplication_matrices,
-                       random_regular_tuple, recover_conjugator, transition_map)
+                       normal_form_ideal, random_regular_tuple,
+                       recover_conjugator, transition_map, tuple_point)
+from nilmoduli.linalg import mat_mul
 
-from conftest import (e_matrix, section_fiber, shift_matrix,
-                      two_pass_annihilator)
+from conftest import (e_matrix, section_fiber, section_ideal, shift_matrix,
+                      two_pass_annihilator, x)
 from test_regularity import mixed, non_curvilinear
 
 F5 = PrimeField(5)
@@ -90,6 +96,43 @@ def test_moduli_point_matches_section_route_on_every_chart():
             assert point.b == section_fiber(ideal, chart, point.c)
 
 
+def assert_same_ideal(got, want):
+    assert got == want
+    assert got.pivots == want.pivots
+    assert got.generators == want.generators
+
+
+@pytest.mark.parametrize("q,n,p", [(2, 3, 3), (2, 4, 2), (3, 3, 2)])
+def test_ideal_from_point_matches_section_route_on_census(q, n, p):
+    for point in enumerate_moduli_points(q, n, p):
+        assert_same_ideal(ideal_from_point(point), section_ideal(point))
+
+
+def test_ideal_from_point_matches_section_route_on_every_chart():
+    rng = random.Random(53)
+    for (q, n) in [(2, 5), (3, 4), (4, 4)]:
+        ctx = make_context(q, n)
+        for chart in range(1, q + 1):
+            for all_nonzero in (False, True):
+                point = point_on_chart(ctx, chart, rng, all_nonzero)
+                assert_same_ideal(ideal_from_point(point), section_ideal(point))
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_normal_form_ideal_matches_generators(field):
+    rng = random.Random(59)
+    for (q, n) in [(2, 3), (2, 5), (3, 4), (4, 4)]:
+        ctx = make_context(q, n, field)
+        b = [[draw(field, rng) for _ in range(n - 2)] for _ in range(q - 1)]
+        gens = []
+        for i, row in enumerate(b, 2):
+            g = x(ctx, i)
+            for j, coef in enumerate(row, 2):
+                g = g - (x(ctx, 1) ** j).scale(coef)
+            gens.append(g)
+        assert_same_ideal(normal_form_ideal(ctx, b), ideal_from_generators(ctx, gens))
+
+
 def test_transition_map_matches_section_route():
     rng = random.Random(43)
     ctx = make_context(3, 4)
@@ -133,3 +176,34 @@ def test_recover_conjugator_rejects_non_regular(cyclic_not_regular):
                  (regular, cyclic_not_regular), (cyclic_not_regular, regular)]:
         with pytest.raises(ValueError):
             recover_conjugator(*pair)
+
+
+def dense_unimodular(field, n, rng):
+    """L U with L unit lower and U unit upper triangular, every entry below
+    (above) the diagonal nonzero: a dense matrix of determinant 1."""
+    lower = [[field.one if r == c else draw(field, rng, True) if r > c else field.zero
+              for c in range(n)] for r in range(n)]
+    upper = [[field.one if r == c else draw(field, rng, True) if r < c else field.zero
+              for c in range(n)] for r in range(n)]
+    return mat_mul(lower, upper)
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_tuple_point_matches_annihilator_route(field):
+    rng = random.Random(61)
+    for (q, n) in [(2, 4), (3, 4), (3, 5)]:
+        ctx = make_context(q, n, field)
+        for seed in (1, 2):
+            t = random_regular_tuple(ctx, seed)
+            assert tuple_point(t) == moduli_point(annihilator(t))
+        for chart in range(1, q + 1):
+            point = point_on_chart(ctx, chart, rng)
+            model = multiplication_matrices(ideal_from_point(point))
+            for t in (random_regular_tuple(ctx, chart, point=point),
+                      conjugate(model, dense_unimodular(field, n, rng))):
+                assert tuple_point(t) == moduli_point(annihilator(t)) == point
+
+
+def test_tuple_point_rejects_non_regular(cyclic_not_regular):
+    with pytest.raises(ValueError):
+        tuple_point(cyclic_not_regular)
