@@ -28,8 +28,8 @@ print("== two independent routes agree ==")
 p = P1Element(ctx.field, [[2, 1], [0, 1]])
 via_ideal = p1_action_bruteforce(ctx, p, b)
 closed = p1_action_closed(ctx, p, b)
-print("through the ideal:    ", via_ideal)
-print("generator elimination:", closed)
+print("through the ideal:   ", via_ideal)
+print("read in the quotient:", closed)
 print("equal:", via_ideal == closed)
 
 print()

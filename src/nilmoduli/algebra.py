@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .fields import Field, ContextMismatch, parse_field
+from .fields import Field, ContextMismatch, InputInvariantError, parse_field
 from . import linalg
 
 
@@ -54,9 +54,9 @@ class AlgebraContext:
 
     def __init__(self, q: int, n: int, field: Field):
         if q < 1:
-            raise ValueError(f"q must be >= 1, got {q}")
+            raise InputInvariantError(f"q must be >= 1, got {q}")
         if n < 2:
-            raise ValueError(f"n must be >= 2, got {n}")
+            raise InputInvariantError(f"n must be >= 2, got {n}")
         lo, hi, dim = min(q, n - 1), max(q, n - 1), 1
         for i in range(1, lo + 1):  # dim = C(hi+i, i): at least doubles
             dim = dim * (hi + i) // i

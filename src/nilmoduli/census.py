@@ -37,11 +37,11 @@ def enumerate_moduli_points(q: int, n: int, p: int,
     """All moduli points over F_p, chart by chart: covector normalized to 1
     at the chart index and zero before it, free entries after it, and an
     arbitrary fiber matrix."""
+    field = PrimeField(p)  # rejects p before the formula divides by p - 1
     total = moduli_count_formula(q, n, p)
     if total > budget:
         raise BudgetExceeded(f"{total} moduli points exceed the budget {budget}")
-    ctx = make_context(q, n, PrimeField(p))
-    field = ctx.field
+    ctx = make_context(q, n, field)
     points = []
     fiber_cells = (q - 1) * (n - 2)
     for chart in range(1, q + 1):
@@ -165,8 +165,8 @@ class CensusReport:
                  subspace_budget: int = DEFAULT_SUBSPACE_BUDGET,
                  brute_force: bool = True):
         self.q, self.n, self.p = q, n, p
-        self.formula = moduli_count_formula(q, n, p)
         points = enumerate_moduli_points(q, n, p, budget=point_budget)
+        self.formula = moduli_count_formula(q, n, p)
         self.chart_counts: dict[int, int] = {}
         seen = set()
         for pt in points:

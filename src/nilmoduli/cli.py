@@ -195,7 +195,11 @@ def cmd_act(args) -> int:
         if b != closed:
             raise InternalCheckError("ideal route and closed form disagree")
     else:
-        b = moduli.p1_action_twisted(ctx, p, point.b, ctx.field.scalar(args.t))
+        try:
+            t = ctx.field.scalar(args.t)
+        except ValueError as exc:
+            raise ParseError(f"bad twist parameter {args.t!r}: {exc}") from exc
+        b = moduli.p1_action_twisted(ctx, p, point.b, t)
     out = moduli.ModuliPoint(ctx, 1, point.c, b)
     doc = {"command": "act", **serialize.point_to_json(out)}
     _emit(args, doc, repr(out))

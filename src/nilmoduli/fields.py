@@ -17,6 +17,14 @@ class ContextMismatch(ValueError):
     """Raised when values from incompatible contexts (field, q, n) are mixed."""
 
 
+class ParseError(ValueError):
+    """An input document or value does not conform to the expected format."""
+
+
+class InputInvariantError(ValueError):
+    """A well-formed input violates a required invariant or lies out of range."""
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -133,7 +141,10 @@ class RationalField:
         if isinstance(v, int):
             return Fraction(v)
         if isinstance(v, str):
-            return Fraction(v)
+            try:
+                return Fraction(v)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {v!r}") from None
         raise ValueError(f"cannot coerce {v!r} into Q")
 
     def format(self, s) -> str:
@@ -151,7 +162,7 @@ class PrimeField:
 
     def __post_init__(self):
         if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+            raise InputInvariantError(f"modulus {self.p} is not prime")
 
     @property
     def name(self) -> str:
@@ -193,5 +204,9 @@ def parse_field(spec: str) -> Field:
     if spec == "Q":
         return QQ
     if spec.startswith("Fp:"):
-        return PrimeField(int(spec[3:]))
-    raise ValueError(f"unknown field spec {spec!r} (expected 'Q' or 'Fp:<p>')")
+        try:
+            p = int(spec[3:])
+        except ValueError:
+            raise ParseError(f"bad modulus in field spec {spec!r}") from None
+        return PrimeField(p)
+    raise ParseError(f"unknown field spec {spec!r} (expected 'Q' or 'Fp:<p>')")

@@ -47,9 +47,9 @@ class Ideal:
         return [i for i in range(self.ctx.dim) if i not in pivset]
 
     def _space(self) -> RowSpace:
+        """A RowSpace that shares the basis rows, for reading only."""
         sp = RowSpace(self.ctx.field, self.ctx.dim)
-        sp.rows = [list(r) for r in self.rows]
-        sp.pivots = list(self.pivots)
+        sp.rows, sp.pivots = self.rows, self.pivots
         return sp
 
     def reduce(self, f: NilPolynomial) -> NilPolynomial:
@@ -80,10 +80,8 @@ class Ideal:
     # --- subspace calculus ------------------------------------------------
     def sum(self, other: "Ideal") -> "Ideal":
         self.ctx.check_same(other.ctx)
-        sp = self._space()
-        sp.extend(list(r) for r in other.rows)
-        return Ideal(self.ctx, sp.basis(), sp.pivots,
-                     self.generators + other.generators)
+        return ideal_from_span(self.ctx, self.rows + other.rows,
+                               self.generators + other.generators)
 
     def product(self, other: "Ideal") -> "Ideal":
         """The ideal spanned by pairwise products.

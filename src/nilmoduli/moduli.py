@@ -16,10 +16,13 @@ Reading the f_j in a basis of the quotient gives the point of an ideal,
 of a tuple, or of a point on another chart; the kernel gives the ideal
 back, so the round trip ideal <-> (chart, c, b) is exact in both
 directions and chart transitions are reproducible functions of the
-coordinates.  The stabilizer of the standard hyperplane acts on fiber
-coordinates; the action is computed two independent ways (through the
-ideal, and by generator elimination in closed form) plus a one-parameter
-twist that degenerates to a linear weighted action.
+coordinates.  An automorphism sigma moves the ideal to the kernel of
+x_j -> sigma^-1(x_j)(f_1(u), ..., f_q(u)), so the stabilizer of the
+standard hyperplane acts on fiber coordinates by reading that quotient;
+the action is computed two independent ways (through the ideal, and in
+the quotient) plus a one-parameter twist that degenerates to a linear
+weighted action.  Chart transitions and the gamma factor of a linearly
+trivial automorphism are read the same way.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from math import comb
 from .algebra import (AlgebraContext, NilPolynomial, AlgebraMap, Automorphism,
                       InternalCheckError, make_context, lift_linear, compose,
                       invert, is_linearly_trivial, linear_polynomial)
-from .fields import PrimeField, QQ
+from .fields import InputInvariantError, PrimeField, QQ
 from .ideals import (Ideal, ideal_from_generators, apply_automorphism,
                      base_ideal, base_point, ideal_coset, orbit_ideal,
                      power_of_max_ideal)
@@ -142,6 +145,28 @@ def _series_in_chart(point: ModuliPoint):
     return [NilPolynomial(ctx, dict(zip(pure, f))) for f in _series(point)]
 
 
+def _act(point: ModuliPoint, inverse_images, chart: int) -> ModuliPoint:
+    """The point on the given chart of sigma(I), I the ideal of point and
+    inverse_images the g_j = sigma^-1(x_j): sigma(I) is the kernel of
+    x_j -> g_j(f_1(u), ..., f_q(u)), each class is one substitution of
+    univariate series, and the frame holds the powers of the class of
+    x_chart."""
+    ctx, k = point.ctx, point.chart
+    series = _series_in_chart(point)
+    classes = [g.substitute(series) for g in inverse_images]
+
+    def coefficients(f):  # f is a polynomial in x_k alone
+        vec = [ctx.field.zero] * ctx.n
+        for e, c in f.terms.items():
+            vec[e[k - 1]] = c
+        return vec
+    powers = [NilPolynomial.one(ctx)]
+    for _ in range(ctx.n - 1):
+        powers.append(powers[-1] * classes[chart - 1])
+    frame = linalg.transpose([coefficients(f) for f in powers])
+    return _read_point(ctx, chart, frame, [coefficients(f) for f in classes])
+
+
 def _standard_point(ctx: AlgebraContext, b) -> ModuliPoint:
     return ModuliPoint(ctx, 1, [ctx.field.one] + [ctx.field.zero] * (ctx.q - 1), b)
 
@@ -229,13 +254,14 @@ def gamma_factor(sigma: Automorphism):
     x_1 only, and h stabilizes the standard-position ideal.
 
     gamma is determined by the fiber coordinates of sigma applied to the
-    standard-position ideal; both factor properties are verified."""
+    standard-position ideal, read in the quotient of the base point from
+    the images of sigma^-1; both factor properties are verified."""
     ctx = sigma.ctx
     if not is_linearly_trivial(sigma):
         raise ValueError("automorphism is not linearly trivial")
     q1 = base_ideal(ctx)
-    moved = apply_automorphism(sigma, q1)
-    gamma = _gamma_from_fiber(ctx, fiber_coordinates(moved))
+    moved = _act(_standard_point(ctx, zero_fiber(ctx)), sigma.inv.images, 1)
+    gamma = _gamma_from_fiber(ctx, moved.b)
     h = compose(invert(gamma), sigma)
     if apply_automorphism(h, q1) != q1:
         raise InternalCheckError("complement factor failed to stabilize the base ideal")
@@ -327,55 +353,21 @@ def p1_action_bruteforce(ctx: AlgebraContext, p: P1Element, b):
 
 
 def p1_action_closed(ctx: AlgebraContext, p: P1Element, b):
-    """Same action in closed form, never building the ideal.
-
-    Gauss elimination of the substituted generators leaves congruences
-    x_k = T_k(x_1..x_q); substituting the T's into themselves raises the
-    order of the impure part each pass, so after at most n - 2 passes the
-    right side is a polynomial in x_1 alone and b' can be read off."""
-    field = ctx.field
-    ginv = p.inverse
-    u = linear_polynomial(ctx, list(p.matrix[0]))
-    x1, *s = _series_in_chart(_standard_point(ctx, b))
-    s_at_u = [f.substitute([u] * ctx.q) for f in s]  # each s_i is in x_1 alone
-    base = []
-    for k in range(2, ctx.q + 1):
-        t = NilPolynomial.zero(ctx)
-        for i in range(2, ctx.q + 1):
-            coef = ginv[k - 1][i - 1]
-            if coef:
-                t = t + s_at_u[i - 2].scale(coef)
-        base.append(t)
-
-    def impure(f: NilPolynomial) -> bool:
-        return any(any(e[1:]) for e in f.terms)
-
-    current = list(base)
-    for _ in range(ctx.n):
-        if not any(impure(t) for t in current):
-            break
-        images = [x1] + current
-        current = [t.substitute(images) for t in base]
-    else:
-        raise InternalCheckError("generator elimination did not stabilize")
-
-    out = []
-    for t in current:
-        row = [field.zero] * (ctx.n - 2)
-        for e, coef in t.terms.items():
-            d = sum(e)
-            if any(e[1:]) or d < 2:
-                raise InternalCheckError("eliminated generator is not normalized")
-            row[d - 2] = coef
-        out.append(tuple(row))
-    return tuple(out)
+    """Same action read in the quotient, never building the ideal: the
+    moved ideal is the kernel of x_j -> sum_i p^-1[j][i] f_i(u), read on
+    chart 1."""
+    moved = _act(_standard_point(ctx, b),
+                 [linear_polynomial(ctx, row) for row in p.inverse], 1)
+    if any(moved.c[1:]):
+        raise InternalCheckError("the moved point left the standard covector")
+    return moved.b
 
 
 def p1_action_twisted(ctx: AlgebraContext, p: P1Element, b, t):
     """The twisted action: act by p with its off-diagonal block scaled by
     t.  At t = 1 this is the plain action; at t = 0 it is linear in b and
     equals the weighted formula of p1_weight_action."""
-    return p1_action_bruteforce(ctx, p.twist(t), b)
+    return p1_action_closed(ctx, p.twist(t), b)
 
 
 def p1_weight_action(ctx: AlgebraContext, p: P1Element, b):
@@ -419,20 +411,15 @@ def fiber_scale(b, lam):
 def transition_map(point: ModuliPoint, target_chart: int) -> ModuliPoint:
     """Re-express a point in the coordinates of another chart.  The point
     must lie on the target chart (nonzero covector entry there).  It is
-    read in its own quotient k[u]/u^n, without its ideal: the frame is
-    the Krylov sequence of f_l(u) on 1, and x_j has the class f_j(u)."""
+    read in its own quotient k[u]/u^n, without its ideal: x_j has the
+    class f_j(u), and the frame holds the powers of f_l(u)."""
     ctx = point.ctx
     l = target_chart
     if not 1 <= l <= ctx.q:
         raise ValueError(f"chart {l} out of range 1..{ctx.q}")
     if not point.c[l - 1]:
         raise ValueError(f"point does not lie on chart {l}")
-    series = _series(point)
-    u = _multiplication(ctx.field, series[l - 1])
-    krylov = [[ctx.field.one] + [ctx.field.zero] * (ctx.n - 1)]
-    for _ in range(ctx.n - 1):
-        krylov.append(linalg.mat_vec(u, krylov[-1]))
-    return _read_point(ctx, l, linalg.transpose(krylov), series)
+    return _act(point, [NilPolynomial.variable(ctx, j) for j in range(1, ctx.q + 1)], l)
 
 
 def linearity_witness(q: int, n: int, chart_from: int, chart_to: int,
@@ -445,8 +432,10 @@ def linearity_witness(q: int, n: int, chart_from: int, chart_to: int,
     a witness dict, or None when the map is linear on the whole grid.
     """
     ctx = make_context(q, n, field)
+    if not (1 <= chart_from <= q and 1 <= chart_to <= q):
+        raise InputInvariantError(f"charts must lie in 1..{q}")
     if chart_from == chart_to:
-        raise ValueError("charts must differ")
+        raise InputInvariantError("charts must differ")
     shape = (q - 1) * (n - 2)
     if shape == 0:
         return None
@@ -538,7 +527,7 @@ class DimensionReport:
 
     def __init__(self, q: int, n: int, field=QQ):
         if q < 2:
-            raise ValueError("the report needs at least two variables")
+            raise InputInvariantError("the report needs at least two variables")
         ctx = make_context(q, n, field)
         D = ctx.dim
         m = power_of_max_ideal(ctx, 1)

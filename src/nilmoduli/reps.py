@@ -13,13 +13,9 @@ from __future__ import annotations
 import random
 
 from .algebra import AlgebraContext, NilPolynomial, InternalCheckError
-from .fields import PrimeField
+from .fields import InputInvariantError, PrimeField
 from .ideals import Ideal, ideal_coset, is_arr, orbit_ideal
 from . import linalg
-
-
-class InputInvariantError(ValueError):
-    """An input matrix tuple violates a required structural invariant."""
 
 
 class NilTuple:

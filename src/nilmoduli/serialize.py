@@ -10,15 +10,12 @@ from __future__ import annotations
 import json
 
 from .algebra import AlgebraContext, NilPolynomial, make_context
+from .fields import ParseError
 from .ideals import Ideal, ideal_from_generators
 from .moduli import ModuliPoint
 from .reps import NilTuple
 
 SCHEMA = "nilmoduli/1"
-
-
-class ParseError(ValueError):
-    """The input document does not conform to the expected schema."""
 
 
 def context_to_json(ctx: AlgebraContext) -> dict:

@@ -146,6 +146,20 @@ def test_act_plain_and_twisted(capsys, tmp_path):
     code, out, _ = run(capsys, "--json", "act", str(ppath), str(mpath), "--t", "0")
     assert code == 0
     assert json.loads(out)["b"] == [["4", "16"]]  # linear weight action
+    point = {"context": {"q": 4, "n": 6, "field": "Fp:7"}, "chart": 1,
+             "c": ["1", "0", "0", "0"],
+             "b": [["3", "6", "3", "4"], ["2", "5", "0", "1"], ["0", "0", "1", "6"]]}
+    ppath.write_text(json.dumps(point))
+    mpath.write_text(json.dumps({"matrix": [["2", "1", "0", "6"], ["0", "0", "3", "3"],
+                                            ["0", "4", "2", "1"], ["0", "1", "6", "0"]]}))
+    # b after each action, one row per string of F_7 digits
+    pinned = {(): ["5414", "5465", "6163"],
+              ("--t", "0"): ["5205", "5252", "6041"],
+              ("--t", "5"): ["5541", "5524", "6535"]}
+    for twist, rows in pinned.items():
+        code, out, _ = run(capsys, "--json", "act", str(ppath), str(mpath), *twist)
+        assert code == 0
+        assert json.loads(out)["b"] == [list(row) for row in rows]
 
 
 def test_act_rejects_non_stabilizer(capsys, tmp_path):
@@ -262,3 +276,36 @@ def test_oversized_algebra_exits_4(capsys, tmp_path):
     code, out, err = run(capsys, "--json", "classify", str(path))
     assert code == 4 and out == ""
     assert err.startswith("budget exceeded: the algebra for q=30, n=30")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["transition", "2", "4", "1", "1"], 3, "invalid input: charts must differ"),
+    (["transition", "2", "4", "1", "5"], 3, "invalid input: charts must lie in 1..2"),
+    (["dims", "1", "4"], 3, "invalid input: the report needs at least two variables"),
+    (["census", "2", "3", "4"], 3, "invalid input: modulus 4 is not prime"),
+    (["census", "2", "3", "1"], 3, "invalid input: modulus 1 is not prime"),
+    (["sample", "--q", "0"], 3, "invalid input: q must be >= 1, got 0"),
+    (["sample", "--n", "1"], 3, "invalid input: n must be >= 2, got 1"),
+    (["--field", "Fp:4", "sample"], 3, "invalid input: modulus 4 is not prime"),
+    (["--field", "Fp:x", "sample"], 2, "parse error: bad modulus in field spec 'Fp:x'"),
+    (["--field", "R", "transition", "2", "4", "1", "2"], 2,
+     "parse error: unknown field spec 'R' (expected 'Q' or 'Fp:<p>')"),
+    (["act", "{point}", "{matrix}", "--t", "abc"], 2,
+     "parse error: bad twist parameter 'abc': "),
+    (["act", "{point}", "{matrix}", "--t", "1/0"], 2,
+     "parse error: bad twist parameter '1/0': zero denominator in '1/0'"),
+    (["act", "{bad_point}", "{matrix}"], 2,
+     "parse error: bad moduli point: zero denominator in '1/0'"),
+])
+def test_bad_values_exit_with_one_line(capsys, tmp_path, argv, code, err):
+    files = {"point": {"context": {"q": 2, "n": 4, "field": "Q"},
+                       "chart": 1, "c": ["1", "0"], "b": [["1", "2"]]},
+             "bad_point": {"context": {"q": 2, "n": 4, "field": "Q"},
+                           "chart": 1, "c": ["1", "0"], "b": [["1/0", "2"]]},
+             "matrix": {"matrix": [["2", "1"], ["0", "1"]]}}
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [a.format(**{k: str(tmp_path / f"{k}.json") for k in files}) for a in argv]
+    got, out, stderr = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert stderr.startswith(err) and stderr.count("\n") == 1 and stderr.endswith("\n")

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nilmoduli import (P1Element, PrimeField, annihilator,
+from nilmoduli import (QQ, P1Element, PrimeField, annihilator,
                        apply_automorphism, automorphism_from_images,
                        base_ideal, base_point, compose,
                        dimension_report, embed_from_two_variables,
@@ -16,6 +17,8 @@ from nilmoduli import (P1Element, PrimeField, annihilator,
                        random_p1, random_point, recover_conjugator,
                        transition_map, universal_ideal_specialize,
                        weight_scale, zero_fiber, ModuliPoint, NilTuple)
+from nilmoduli.linalg import mat_mul
+from nilmoduli.moduli import _gamma_from_fiber
 
 from conftest import chart_section, shift_matrix, x
 from test_ideals import random_arr_ideal
@@ -148,9 +151,9 @@ def test_gamma_factor_random(ctx34):
                 assert not any(e[1:]) or sum(e) == 1
         assert apply_automorphism(h, q1) == q1
         assert compose(gamma, h).fwd == sigma.fwd
-        # uniqueness: re-derive gamma from the moved ideal
-        regamma, _ = gamma_factor(sigma)
-        assert regamma.fwd == gamma.fwd
+        # uniqueness: gamma is the one read from the moved ideal itself
+        moved = apply_automorphism(sigma, q1)
+        assert gamma.fwd == _gamma_from_fiber(ctx34, fiber_coordinates(moved)).fwd
 
 
 def test_gamma_factor_rejects_nontrivial_linear_part(ctx34):
@@ -199,13 +202,43 @@ def test_p1_action_not_linear_in_b(ctx24):
 
 def test_p1_oracle_equality_random():
     rng = random.Random(44)
-    for (q, n) in [(2, 4), (3, 4)]:
-        ctx = make_context(q, n)
-        for _ in range(10):
+    for field, (q, n), samples in [(QQ, (2, 4), 10), (QQ, (3, 4), 10),
+                                   (PrimeField(7), (2, 4), 10), (PrimeField(7), (3, 4), 10),
+                                   (QQ, (4, 6), 3), (PrimeField(7), (4, 6), 3)]:
+        ctx = make_context(q, n, field)
+        for _ in range(samples):
             p = random_p1(ctx, rng)
             pt = random_point(ctx, rng)
             b = pt.b
             assert p1_action_bruteforce(ctx, p, b) == p1_action_closed(ctx, p, b)
+
+
+@st.composite
+def p1_and_fiber(draw):
+    """A stabilizer element (corner unit, lower block L U with L unit lower
+    and U invertible upper triangular) and a fiber matrix, small entries."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(7)]))
+    q, n = draw(st.sampled_from([(1, 2), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]))
+    scalar = st.integers(-3, 3).map(field.scalar)
+    unit = scalar.filter(bool)
+    lower = [[draw(scalar) if j < i else field.one if j == i else field.zero
+              for j in range(q - 1)] for i in range(q - 1)]
+    upper = [[draw(unit) if j == i else draw(scalar) if j > i else field.zero
+              for j in range(q - 1)] for i in range(q - 1)]
+    block = mat_mul(lower, upper) if q > 1 else []
+    rows = [[draw(unit)] + [draw(scalar) for _ in range(q - 1)]]
+    rows += [[field.zero] + row for row in block]
+    b = [[draw(scalar) for _ in range(n - 2)] for _ in range(q - 1)]
+    return make_context(q, n, field), P1Element(field, rows), b
+
+
+@settings(max_examples=60, deadline=None)
+@given(p1_and_fiber())
+def test_closed_action_moves_the_ideal(case):
+    # compares ideals, so it shares no frame reading with the closed form
+    ctx, p, b = case
+    moved = apply_automorphism(lift_linear(ctx, p.matrix), normal_form_ideal(ctx, b))
+    assert normal_form_ideal(ctx, p1_action_closed(ctx, p, b)) == moved
 
 
 def test_twisted_action_endpoints(ctx24):
