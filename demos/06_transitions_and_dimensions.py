@@ -2,9 +2,12 @@
 
 The moduli space fibers over projective (q-1)-space with affine fibers of
 dimension (q-1)(n-2).  Chart transitions fix the zero section and are
-affine-space maps; for n = 3 the computed transition is linear in the
-fiber but for n = 4 it provably is not, so the fibration is an affine
-bundle that is not a vector bundle.
+affine-space maps.  The fiber column of u^e has weight e - 1, so for
+n = 3 the transition is linear in the fiber, and for n = 4 a fixed
+witness shows that it is not linear in these chart coordinates.  That
+the fibration is an affine bundle that is not a vector bundle is
+Iarrobino's theorem (Punctual Hilbert schemes, Mem. AMS 188, 1977), not
+something the witness proves.
 """
 
 from fractions import Fraction
@@ -27,7 +30,7 @@ print("the zero section maps to the zero section:",
 
 print()
 print("== linearity of the fiber component ==")
-print("n = 3:", linearity_witness(2, 3, 1, 2) or "linear on the whole grid")
+print("n = 3:", linearity_witness(2, 3, 1, 2) or "linear: every fiber coordinate has weight 1")
 w = linearity_witness(2, 4, 1, 2)
 print(f"n = 4: {w['kind']} fails at c = {w['c']}, b = {w['b']}:")
 print("  transition(2b) =", w["lhs"])

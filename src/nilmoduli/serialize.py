@@ -115,11 +115,14 @@ def point_from_json(doc) -> ModuliPoint:
 def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path} does not hold a JSON object")
+    return doc
 
 
 def dumps(doc: dict) -> str:

@@ -2,10 +2,12 @@ from itertools import chain, product
 
 import pytest
 
-from nilmoduli import (NilPolynomial, NilTuple, PrimeField, apply_automorphism,
-                       evaluate, fiber_coordinates, ideal_from_generators,
-                       ideal_from_span, invert, lift_linear,
-                       linear_polynomial, make_context)
+from nilmoduli import (QQ, InputInvariantError, ModuliPoint, NilPolynomial,
+                       NilTuple, PrimeField, apply_automorphism, evaluate,
+                       fiber_add, fiber_coordinates, fiber_scale,
+                       ideal_from_generators, ideal_from_span, invert,
+                       lift_linear, linear_polynomial, make_context,
+                       transition_map)
 from nilmoduli.linalg import nullspace, transpose
 
 
@@ -128,3 +130,60 @@ def section_ideal(point):
         gens.append(g)
     section = chart_section(ctx, point.chart, point.c)
     return apply_automorphism(section, ideal_from_generators(ctx, gens))
+
+
+def grid_linearity_witness(q, n, chart_from, chart_to, field=QQ):
+    """Transition linearity by exhaustive search, the oracle for the weight
+    rule of linearity_witness.
+
+    Scans a deterministic small-height grid of fiber vectors and checks
+    homogeneity (doubling) and additivity of b -> transition(b).  Returns
+    a witness dict, or None when the map is linear on the whole grid.
+    """
+    ctx = make_context(q, n, field)
+    if not (1 <= chart_from <= q and 1 <= chart_to <= q):
+        raise InputInvariantError(f"charts must lie in 1..{q}")
+    if chart_from == chart_to:
+        raise InputInvariantError("charts must differ")
+    shape = (q - 1) * (n - 2)
+    if shape == 0:
+        return None
+    two = field.scalar(2)
+    heights = (0, 1, -1, 2, -2, 3, -3) if shape <= 2 else (0, 1, -1, 2)
+
+    def unflatten(flat):
+        it = iter(flat)
+        return tuple(tuple(field.scalar(next(it)) for _ in range(n - 2))
+                     for _ in range(q - 1))
+
+    for t_c in (1, 2, 3):
+        c = [field.zero] * q
+        c[chart_from - 1] = field.one
+        c[chart_to - 1] = field.scalar(t_c)
+        if not c[chart_to - 1]:
+            continue  # t_c can vanish mod p
+        c = tuple(c)
+
+        def trans(b):
+            return transition_map(ModuliPoint(ctx, chart_from, c, b), chart_to).b
+
+        for flat in product(heights, repeat=shape):
+            b = unflatten(flat)
+            lhs = trans(fiber_scale(b, two))
+            rhs = fiber_scale(trans(b), two)
+            if lhs != rhs:
+                return {"kind": "homogeneity", "c": c, "b": b, "lam": two,
+                        "lhs": lhs, "rhs": rhs}
+        singles = []
+        for pos in range(shape):
+            flat = [0] * shape
+            flat[pos] = 1
+            singles.append(unflatten(flat))
+        for b1 in singles:
+            for b2 in singles:
+                lhs = trans(fiber_add(b1, b2))
+                rhs = fiber_add(trans(b1), trans(b2))
+                if lhs != rhs:
+                    return {"kind": "additivity", "c": c, "b": b1, "b2": b2,
+                            "lhs": lhs, "rhs": rhs}
+    return None

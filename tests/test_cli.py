@@ -224,6 +224,31 @@ def test_transition_command(capsys):
     assert "LINEAR" in out
 
 
+def test_transition_states_why_it_is_linear(capsys):
+    code, out, _ = run(capsys, "transition", "3", "3", "2", "1")
+    assert (code, out) == (0, "LINEAR (proved: every fiber coordinate has weight 1)\n")
+    code, out, _ = run(capsys, "--json", "--field", "Fp:2", "transition", "2", "4", "1", "2")
+    assert code == 0 and json.loads(out)["detail"] == (
+        "additivity holds on all pairs of unit vectors; a bounded check, not a proof")
+
+
+def test_transition_witness_at_4_6(capsys):
+    # the weight rule makes 2 transitions over Q and 13 over F_2
+    zeros = "['0', '0', '0', '0'], ['0', '0', '0', '0']]"
+    code, out, _ = run(capsys, "transition", "4", "6", "1", "2")
+    assert (code, out) == (0, "\n".join([
+        "NONLINEAR (homogeneity fails)",
+        "  base covector c = ['1', '1', '0', '0']",
+        f"  b = [['1', '0', '0', '0'], {zeros}",
+        f"  transition(lam*b) = [['-2', '8', '-40', '224'], {zeros}",
+        f"  lam*transition(b) = [['-2', '4', '-10', '28'], {zeros}", ""]))
+    code, out, _ = run(capsys, "--json", "--field", "Fp:2", "transition", "4", "6", "1", "2")
+    doc = json.loads(out)
+    assert code == 0 and (doc["verdict"], doc["kind"]) == ("NONLINEAR", "additivity")
+    assert doc["b"][0] == ["1", "0", "0", "0"] and doc["b2"][0] == ["0", "1", "0", "0"]
+    assert doc["lhs"][0] == ["1", "1", "0", "0"] and doc["rhs"][0] == ["1", "1", "1", "1"]
+
+
 def test_express_command(capsys, jj2_file):
     code, out, _ = run(capsys, "--json", "express", jj2_file, "1", "2")
     assert code == 0
@@ -296,16 +321,26 @@ def test_oversized_algebra_exits_4(capsys, tmp_path):
      "parse error: bad twist parameter '1/0': zero denominator in '1/0'"),
     (["act", "{bad_point}", "{matrix}"], 2,
      "parse error: bad moduli point: zero denominator in '1/0'"),
+    (["--field", "R", "dims", "2", "3"], 2,
+     "parse error: unknown field spec 'R' (expected 'Q' or 'Fp:<p>')"),
+    (["--field", "Fp:4", "census", "2", "3", "2"], 3, "invalid input: modulus 4 is not prime"),
+    (["classify", "{array}"], 2, "parse error: {array} does not hold a JSON object"),
+    (["compare", "{string}", "{array}"], 2, "parse error: {string} does not hold a JSON object"),
+    (["express", "{array}", "1", "2"], 2, "parse error: {array} does not hold a JSON object"),
+    (["act", "{string}", "{matrix}"], 2, "parse error: {string} does not hold a JSON object"),
+    (["act", "{point}", "{array}"], 2, "parse error: {array} does not hold a JSON object"),
 ])
 def test_bad_values_exit_with_one_line(capsys, tmp_path, argv, code, err):
     files = {"point": {"context": {"q": 2, "n": 4, "field": "Q"},
                        "chart": 1, "c": ["1", "0"], "b": [["1", "2"]]},
              "bad_point": {"context": {"q": 2, "n": 4, "field": "Q"},
                            "chart": 1, "c": ["1", "0"], "b": [["1/0", "2"]]},
-             "matrix": {"matrix": [["2", "1"], ["0", "1"]]}}
+             "matrix": {"matrix": [["2", "1"], ["0", "1"]]},
+             "array": [1, 2], "string": "str"}
     for name, doc in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    argv = [a.format(**{k: str(tmp_path / f"{k}.json") for k in files}) for a in argv]
+    paths = {k: str(tmp_path / f"{k}.json") for k in files}
+    argv, err = [a.format(**paths) for a in argv], err.format(**paths)
     got, out, stderr = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert stderr.startswith(err) and stderr.count("\n") == 1 and stderr.endswith("\n")
