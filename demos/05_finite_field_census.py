@@ -2,15 +2,15 @@
 
 The moduli enumeration (normalized covector times free fiber matrix) has
 the closed count (p^q - 1)/(p - 1) * p^((q-1)(n-2)).  An independent
-brute-force sweep over all echelon subspaces closed under multiplication
-recovers the same ideals, and stratifying them by associated graded type
-exposes the fibration over the projective line of base covectors.
+enumeration of every colength-n ideal, staircase by staircase, recovers
+the same ideals, and stratifying them by associated graded type exposes
+the fibration over the projective space of base covectors.
 """
 
 from nilmoduli import CensusReport, brute_force_ideals, is_linear_ideal, is_arr
 
 for (q, n, p) in [(2, 3, 2), (2, 3, 3), (2, 4, 2), (3, 3, 2)]:
-    report = CensusReport(q, n, p, brute_force=(q, n) != (3, 3))
+    report = CensusReport(q, n, p)
     print(report.to_text())
     print()
 

@@ -1,27 +1,29 @@
 """Finite-field enumeration of the moduli and of colength-n ideals.
 
-Two independent enumerations are compared:
+Two independent enumerations are compared: chart-by-chart moduli points
+(normalized covector, arbitrary fiber matrix), whose count has the closed
+form (p^q - 1)/(p - 1) * p^((q-1)(n-2)), and every colength-n ideal,
+filtered to the regular annihilators.
 
-* chart-by-chart moduli points (normalized covector, arbitrary fiber
-  matrix) whose count has the closed form (p^q - 1)/(p - 1) * p^((q-1)(n-2));
-* a brute-force sweep over echelon bases of subspaces of the right
-  dimension, keeping those closed under multiplication by the generators.
-
-The sweep builds echelon rows from the largest pivot upwards.  Because
-the monomial order is graded, multiplying a partial row by a generator
-lands strictly to the right, inside the span of the rows already chosen;
-a candidate row whose products do not reduce to zero can be pruned with
-its entire subtree.  That prunes the search far below the raw Gaussian
-binomial count, which is what makes the sweep feasible at desk scale.
+The ideals are walked staircase by staircase.  In the graded order the
+pivot of x_i * row is x_i * pivot, so the non-pivot monomials of an ideal
+form an order ideal S of n monomials, and each RREF row is its pivot plus
+entries on the columns of S right of it.  With S and the rows of larger
+pivots fixed, "x_i * row reduces to zero" is affine-linear in the row's
+entries: one elimination solves it, and only its solutions are walked.
+The budget counts staircases walked plus solution rows produced.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from bisect import bisect_right
+from collections import Counter
+from itertools import islice, product
 
-from .algebra import BudgetExceeded, make_context
+from .algebra import BudgetExceeded, NilPolynomial, make_context
 from .fields import PrimeField
-from .ideals import Ideal, ideal_from_span, is_arr, associated_graded
+from .ideals import Ideal, is_arr, associated_graded
+from .linalg import nullspace
 from .moduli import ModuliPoint, ideal_from_point
 
 DEFAULT_POINT_BUDGET = 10 ** 6
@@ -46,10 +48,7 @@ def enumerate_moduli_points(q: int, n: int, p: int,
     fiber_cells = (q - 1) * (n - 2)
     for chart in range(1, q + 1):
         for tail in product(range(p), repeat=q - chart):
-            c = [field.zero] * q
-            c[chart - 1] = field.one
-            for j, v in enumerate(tail):
-                c[chart + j] = field.scalar(v)
+            c = [field.zero] * (chart - 1) + [field.one] + [field.scalar(v) for v in tail]
             for flat in product(range(p), repeat=fiber_cells):
                 it = iter(flat)
                 b = [[field.scalar(next(it)) for _ in range(n - 2)]
@@ -59,81 +58,92 @@ def enumerate_moduli_points(q: int, n: int, p: int,
     return points
 
 
-def _multiply_rows(ctx, p: int):
-    """Return mult(row, i) -> product int vector for generator x_{i+1}."""
-    def mult(row, i):
-        out = [0] * ctx.dim
-        shift = ctx.shift[i]
-        for idx, v in enumerate(row):
-            if v:
-                tgt = shift[idx]
-                if tgt is not None:
-                    out[tgt] = (out[tgt] + v) % p
-        return out
-    return mult
+def _staircases(ctx):
+    """Every order ideal of n monomials, as a sorted tuple of indices.
+
+    Index order refines divisibility, so each prefix of a sorted order
+    ideal is one: extend by a later monomial, of degree at most the size
+    so far, whose divisors are all present."""
+    def grow(stair):
+        if len(stair) == ctx.n:
+            yield stair
+            return
+        for m in range(stair[-1] + 1, ctx.deg_start[len(stair) + 1]):
+            e = ctx.monomials[m]
+            if all(ctx.index[e[:i] + (e[i] - 1,) + e[i + 1:]] in stair
+                   for i in range(ctx.q) if e[i]):
+                yield from grow(stair + (m,))
+    return grow((0,))
 
 
 def brute_force_ideals(q: int, n: int, p: int, arr_only: bool = False,
                        budget: int = DEFAULT_SUBSPACE_BUDGET):
-    """(count, ideals): every colength-n ideal over F_p by echelon sweep,
-    optionally filtered to those annihilating a regular tuple.
+    """(count, ideals): every colength-n ideal over F_p by a staircase
+    walk, optionally filtered to those annihilating a regular tuple.
 
-    The budget caps the number of candidate echelon rows examined."""
+    The budget caps staircases walked plus solution rows produced."""
     ctx = make_context(q, n, PrimeField(p))
-    dim = ctx.dim
-    k = dim - n
-    if k < 0:
-        raise ValueError(f"colength {n} exceeds the algebra dimension {dim}")
-    mult = _multiply_rows(ctx, p)
-    examined = 0
-    found: list[tuple] = []
+    field, dim, shift = ctx.field, ctx.dim, ctx.shift
+    stairs = list(islice(_staircases(ctx), budget + 1))
+    if len(stairs) > budget:
+        raise BudgetExceeded(f"echelon sweep exceeded the budget {budget}: "
+                             f"more than {budget} staircases")
+    work, found = len(stairs), []
+    scalars = [field.scalar(v) for v in range(p)]
+    for done, stair in enumerate(stairs):
+        pos = {s: j for j, s in enumerate(stair)}
+        pivots = [m for m in range(dim) if m not in pos]
+        zero = [field.zero] * n
+        tails = {m: zero for m in pivots}  # row entries on the staircase
+        # minus the normal form of a monomial: a unit vector for one on the
+        # staircase, zero past the truncation (None), a pivot's own tail
+        images = {None: zero, **{u: [-field.one if t == j else field.zero
+                                     for t in range(n)] for u, j in pos.items()}}
 
-    def reduces_to_zero(vec, pivot_map) -> bool:
-        v = list(vec)
-        for idx in range(dim):
-            c = v[idx]
-            if c:
-                row = pivot_map.get(idx)
-                if row is None:
-                    return False
-                for t in range(idx, dim):
-                    if row[t]:
-                        v[t] = (v[t] - c * row[t]) % p
-        return True
-
-    def sweep(pivot_map, min_pivot, need):
-        nonlocal examined
-        if need == 0:
-            rows = [pivot_map[piv] for piv in sorted(pivot_map)]
-            found.append(tuple(tuple(r) for r in rows))
-            return
-        for pos in range(min_pivot - 1, need - 2, -1):
-            free = [c for c in range(pos + 1, dim) if c not in pivot_map]
-            for vals in product(range(p), repeat=len(free)):
-                examined += 1
-                if examined > budget:
+        def walk(rest):
+            """Fill the rows of the pivots in rest, largest first, and yield
+            the row tuple of every ideal."""
+            nonlocal work
+            if not rest:
+                yield tuple(tuple(tails[m][pos[c]] if c in pos else
+                                  field.one if c == m else field.zero
+                                  for c in range(dim)) for m in pivots)
+                return
+            m, j0 = rest[0], bisect_right(stair, rest[0])
+            # x_i * row reduces to zero, as [A | b] (a, 1) = 0 over the
+            # row's entries a on the staircase columns right of m
+            system = []
+            for i in range(q):
+                if shift[i][m] is not None:  # else x_i * row truncates to 0
+                    cols = [images.get(u) or tails[u]
+                            for u in (shift[i][s] for s in stair[j0:])]
+                    cols.append(tails[shift[i][m]])
+                    system += (row for row in zip(*cols) if any(row))
+            basis = nullspace(field, system, n - j0 + 1)
+            if not basis or not basis[-1][-1]:
+                return  # no solution with last entry 1: inconsistent
+            *homog, last = basis
+            for coeffs in product(scalars, repeat=len(homog)):
+                work += 1
+                if work > budget:
                     raise BudgetExceeded(
-                        f"echelon sweep exceeded the budget {budget}")
-                row = [0] * dim
-                row[pos] = 1
-                for c, v in zip(free, vals):
-                    row[c] = v
-                if all(reduces_to_zero(mult(row, i), pivot_map)
-                       for i in range(q)):
-                    pivot_map[pos] = row
-                    sweep(pivot_map, pos, need - 1)
-                    del pivot_map[pos]
+                        f"echelon sweep exceeded the budget {budget} "
+                        f"after staircase {done} of {len(stairs)}")
+                sol = last[:-1]
+                for c, h in zip(coeffs, homog):
+                    sol = [a + c * b for a, b in zip(sol, h)]
+                tails[m] = zero[:j0] + sol
+                yield from walk(rest[1:])
+            tails[m] = zero
 
-    sweep({}, dim, k)
-    found.sort()
-    field = ctx.field
-    ideals = []
-    for rows in found:
-        vecs = [[field.scalar(v) for v in r] for r in rows]
-        ideal = ideal_from_span(ctx, vecs)
-        assert ideal.colength == n
-        if not arr_only or is_arr(ideal):
-            ideals.append(ideal)
+        # pivots past the last staircase monomial have no entries to fill
+        found += walk([m for m in reversed(pivots) if m < stair[-1]])
+    found.sort(key=lambda rows: [[c.val for c in r] for r in rows])
+    ideals = [Ideal(ctx, rows, [r.index(field.one) for r in rows],
+                    [NilPolynomial.from_vector(ctx, r) for r in rows])
+              for rows in found]
+    if arr_only:
+        ideals = [i for i in ideals if is_arr(i)]
     return len(ideals), ideals
 
 
@@ -146,11 +156,7 @@ def ideal_key(ideal: Ideal) -> tuple:
 def stratify_by_graded(ideals) -> dict:
     """Histogram of ideals keyed by the canonical form of their associated
     graded ideal (the structure map of the degeneration to monomial type)."""
-    hist: dict = {}
-    for ideal in ideals:
-        key = ideal_key(associated_graded(ideal))
-        hist[key] = hist.get(key, 0) + 1
-    return hist
+    return dict(Counter(ideal_key(associated_graded(i)) for i in ideals))
 
 
 class CensusReport:
@@ -167,18 +173,12 @@ class CensusReport:
         self.q, self.n, self.p = q, n, p
         points = enumerate_moduli_points(q, n, p, budget=point_budget)
         self.formula = moduli_count_formula(q, n, p)
-        self.chart_counts: dict[int, int] = {}
-        seen = set()
-        for pt in points:
-            self.chart_counts[pt.chart] = self.chart_counts.get(pt.chart, 0) + 1
-            key = ideal_key(ideal_from_point(pt))
-            assert key not in seen, "two moduli points produced the same ideal"
-            seen.add(key)
+        self.chart_counts = dict(Counter(pt.chart for pt in points))
         self.total = len(points)
-        self.point_ideal_keys = seen
-        self.brute_all = None
-        self.brute_arr = None
-        self.graded_histogram = None
+        self.point_ideal_keys = {ideal_key(ideal_from_point(pt)) for pt in points}
+        assert len(self.point_ideal_keys) == self.total, \
+            "two moduli points produced the same ideal"
+        self.brute_all = self.brute_arr = self.graded_histogram = None
         if brute_force:
             _, all_ideals = brute_force_ideals(q, n, p, arr_only=False,
                                                budget=subspace_budget)
@@ -192,13 +192,9 @@ class CensusReport:
 
     @property
     def counts_match(self) -> bool:
-        if self.total != self.formula:
-            return False
-        if self.brute_arr is not None and self.brute_arr != self.total:
-            return False
-        if self.brute_arr is not None and self.point_ideal_keys != self.arr_ideal_keys:
-            return False
-        return True
+        # equal sets of distinct ideals also have equal counts
+        return self.total == self.formula and (
+            self.brute_arr is None or self.point_ideal_keys == self.arr_ideal_keys)
 
     def to_dict(self) -> dict:
         out = {

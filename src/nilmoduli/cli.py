@@ -207,13 +207,16 @@ def cmd_act(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    report = moduli.dimension_report(args.dq, args.dn)
+    report = moduli.dimension_report(args.dq, args.dn, args.field)
     doc = {"command": "dims", **report.to_dict()}
     _emit(args, doc, report.to_text())
     return EXIT_OK if report.all_match else EXIT_INTERNAL
 
 
 def cmd_census(args) -> int:
+    if args.field_given and getattr(args.field, "p", None) != args.cp:
+        raise ParseError(f"census counts over F_{args.cp}, its third argument; "
+                         f"--field {args.field} does not match")
     kwargs = {}
     if args.budget is not None:
         kwargs = {"point_budget": args.budget, "subspace_budget": args.budget}
@@ -294,6 +297,7 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.field_given = hasattr(args, "field")
     for key, val in GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, val)

@@ -187,3 +187,60 @@ def grid_linearity_witness(q, n, chart_from, chart_to, field=QQ):
                     return {"kind": "additivity", "c": c, "b": b1, "b2": b2,
                             "lhs": lhs, "rhs": rhs}
     return None
+
+
+def blind_echelon_sweep(q, n, p):
+    """Every colength-n ideal over F_p by a blind echelon sweep, the oracle
+    for the staircase walk of brute_force_ideals.
+
+    Builds echelon rows from the largest pivot down, trying every value on
+    every free column to the right of the pivot and keeping a row when its
+    products with the generators reduce to zero modulo the rows already
+    chosen.  Returns the ideals sorted by their integer rows.
+    """
+    ctx = make_context(q, n, PrimeField(p))
+    dim = ctx.dim
+    found = []
+
+    def mult(row, i):
+        out = [0] * dim
+        for idx, v in enumerate(row):
+            tgt = ctx.shift[i][idx]
+            if v and tgt is not None:
+                out[tgt] = (out[tgt] + v) % p
+        return out
+
+    def reduces_to_zero(vec, pivot_map):
+        v = list(vec)
+        for idx in range(dim):
+            c = v[idx]
+            if c:
+                row = pivot_map.get(idx)
+                if row is None:
+                    return False
+                for t in range(idx, dim):
+                    if row[t]:
+                        v[t] = (v[t] - c * row[t]) % p
+        return True
+
+    def sweep(pivot_map, min_pivot, need):
+        if need == 0:
+            found.append(tuple(tuple(pivot_map[piv]) for piv in sorted(pivot_map)))
+            return
+        for pos in range(min_pivot - 1, need - 2, -1):
+            free = [c for c in range(pos + 1, dim) if c not in pivot_map]
+            for vals in product(range(p), repeat=len(free)):
+                row = [0] * dim
+                row[pos] = 1
+                for c, v in zip(free, vals):
+                    row[c] = v
+                if all(reduces_to_zero(mult(row, i), pivot_map)
+                       for i in range(q)):
+                    pivot_map[pos] = row
+                    sweep(pivot_map, pos, need - 1)
+                    del pivot_map[pos]
+
+    sweep({}, dim, dim - n)
+    field = ctx.field
+    return [ideal_from_span(ctx, [[field.scalar(v) for v in r] for r in rows])
+            for rows in sorted(found)]

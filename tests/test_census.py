@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import blind_echelon_sweep
 from nilmoduli import (BudgetExceeded, CensusReport, base_ideal,
                        brute_force_ideals, enumerate_moduli_points, ideal_key,
                        ideal_from_point, is_arr, is_linear_ideal, make_context,
@@ -42,6 +43,73 @@ def test_brute_force_small():
 def test_brute_force_budget():
     with pytest.raises(BudgetExceeded):
         brute_force_ideals(2, 4, 2, budget=10)
+
+
+def test_brute_force_budget_reports_progress():
+    with pytest.raises(BudgetExceeded) as exc:
+        brute_force_ideals(3, 4, 2, budget=1000)
+    assert str(exc.value) == ("echelon sweep exceeded the budget 1000 "
+                              "after staircase 12 of 13")
+    with pytest.raises(BudgetExceeded) as exc:  # 13 staircases alone
+        brute_force_ideals(3, 4, 2, budget=12)
+    assert str(exc.value) == ("echelon sweep exceeded the budget 12: "
+                              "more than 12 staircases")
+
+
+@pytest.mark.parametrize("q,n,p", [(2, 3, 2), (2, 3, 3), (2, 3, 7), (2, 4, 2),
+                                   (2, 4, 3), (2, 5, 2), (3, 3, 2)])
+def test_staircase_walk_matches_blind_sweep(q, n, p):
+    _, ideals = brute_force_ideals(q, n, p)
+    oracle = blind_echelon_sweep(q, n, p)
+    assert ideals == oracle
+    assert all(a.pivots == b.pivots and a.generators == b.generators
+               for a, b in zip(ideals, oracle))
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+@pytest.mark.parametrize("n,p", [(n, 2) for n in range(2, 8)]
+                         + [(n, 3) for n in range(2, 6)])
+def test_plane_count_is_partition_sum(n, p):
+    # cells of the punctual Hilbert scheme of the plane (Briancon 1977;
+    # Ellingsrud-Stromme 1987): one affine cell p^(n - len) per partition
+    count, ideals = brute_force_ideals(2, n, p)
+    parts = list(_partitions(n))
+    assert count == sum(p ** (n - len(lam)) for lam in parts)
+    # every staircase carries its monomial ideal, so each partition shows
+    assert len({tuple(i.complement_monomials()) for i in ideals}) == len(parts)
+
+
+@pytest.mark.parametrize("q,n,p", [(3, 4, 2), (2, 7, 2), (4, 3, 2)])
+def test_census_runs_oracle_on_larger_cases(q, n, p):
+    rep = CensusReport(q, n, p)
+    assert rep.brute_all is not None
+    assert rep.counts_match
+
+
+@pytest.mark.parametrize("q,n,p", [(3, 4, 2), (2, 4, 3), (4, 3, 2), (3, 3, 3)])
+def test_regular_ideals_sit_on_line_staircases(q, n, p):
+    # an ideal is a regular annihilator iff its staircase is a line
+    # {1, x_m, ..., x_m^(n-1)}, m the last index with c_m != 0
+    ctx = make_context(q, n, f"Fp:{p}")
+    lines = {tuple(ctx.index[tuple(d if j == m else 0 for j in range(q))]
+                   for d in range(n)): m + 1 for m in range(q)}
+    _, ideals = brute_force_ideals(q, n, p)
+    parts: dict = {}
+    for ideal in ideals:
+        m = lines.get(tuple(ideal.complement_monomials()))
+        assert (m is not None) == is_arr(ideal)
+        if m is not None:
+            parts[m] = parts.get(m, 0) + 1
+    assert parts == {m: p ** (m - 1 + (q - 1) * (n - 2)) for m in range(1, q + 1)}
 
 
 def test_single_variable_case():

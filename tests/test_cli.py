@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nilmoduli import NilTuple, make_context
+from nilmoduli import QQ, NilTuple, PrimeField, make_context, moduli
 from nilmoduli.cli import main
 from nilmoduli.serialize import tuple_to_json, dumps
 
@@ -192,19 +192,30 @@ def test_census_command(capsys):
 
 
 def test_census_reports_skipped_oracle(capsys):
-    code, out, err = run(capsys, "census", "2", "4", "2", "--budget", "1000")
+    skipped = ("echelon sweep exceeded the budget 1000 "
+               "after staircase 12 of 13")
+    code, out, err = run(capsys, "census", "3", "4", "2", "--budget", "1000")
     assert code == 0
-    assert err == ("brute-force oracle skipped: "
-                   "echelon sweep exceeded the budget 1000\n")
+    assert err == f"brute-force oracle skipped: {skipped}\n"
     assert "brute-force" not in out
-    code, out, err = run(capsys, "--json", "census", "2", "4", "2",
+    code, out, err = run(capsys, "--json", "census", "3", "4", "2",
                          "--budget", "1000")
     assert code == 0 and err == ""
     doc = json.loads(out)
     assert doc["brute_force_all"] is None
-    assert doc["brute_force_skipped"] == "echelon sweep exceeded the budget 1000"
+    assert doc["brute_force_skipped"] == skipped
     code, out, err = run(capsys, "--json", "census", "2", "3", "2")
     assert err == "" and "brute_force_skipped" not in json.loads(out)
+
+
+def test_census_and_dims_honour_field(capsys, monkeypatch):
+    assert run(capsys, "--field", "Fp:2", "census", "2", "3", "2") == \
+        run(capsys, "census", "2", "3", "2")
+    fields, report = [], moduli.dimension_report
+    monkeypatch.setattr(moduli, "dimension_report",
+                        lambda q, n, field: fields.append(field) or report(q, n, field))
+    assert run(capsys, "--field", "Fp:5", "dims", "2", "3") == run(capsys, "dims", "2", "3")
+    assert fields == [PrimeField(5), QQ]
 
 
 def test_census_budget_exit(capsys):
@@ -329,6 +340,10 @@ def test_oversized_algebra_exits_4(capsys, tmp_path):
     (["express", "{array}", "1", "2"], 2, "parse error: {array} does not hold a JSON object"),
     (["act", "{string}", "{matrix}"], 2, "parse error: {string} does not hold a JSON object"),
     (["act", "{point}", "{array}"], 2, "parse error: {array} does not hold a JSON object"),
+    (["--field", "Fp:5", "census", "2", "3", "2"], 2,
+     "parse error: census counts over F_2, its third argument; --field Fp:5 does not match"),
+    (["census", "2", "3", "2", "--field", "Q"], 2,
+     "parse error: census counts over F_2, its third argument; --field Q does not match"),
 ])
 def test_bad_values_exit_with_one_line(capsys, tmp_path, argv, code, err):
     files = {"point": {"context": {"q": 2, "n": 4, "field": "Q"},
