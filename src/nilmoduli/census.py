@@ -17,7 +17,6 @@ The budget counts staircases walked plus solution rows produced.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from itertools import islice, product
 
 from .algebra import BudgetExceeded, NilPolynomial, make_context
@@ -48,7 +47,10 @@ def enumerate_moduli_points(q: int, n: int, p: int,
     fiber_cells = (q - 1) * (n - 2)
     for chart in range(1, q + 1):
         for tail in product(range(p), repeat=q - chart):
-            c = [field.zero] * (chart - 1) + [field.one] + [field.scalar(v) for v in tail]
+            c = [field.zero] * q
+            c[chart - 1] = field.one
+            for j, v in enumerate(tail):
+                c[chart + j] = field.scalar(v)
             for flat in product(range(p), repeat=fiber_cells):
                 it = iter(flat)
                 b = [[field.scalar(next(it)) for _ in range(n - 2)]
@@ -156,7 +158,11 @@ def ideal_key(ideal: Ideal) -> tuple:
 def stratify_by_graded(ideals) -> dict:
     """Histogram of ideals keyed by the canonical form of their associated
     graded ideal (the structure map of the degeneration to monomial type)."""
-    return dict(Counter(ideal_key(associated_graded(i)) for i in ideals))
+    hist: dict = {}
+    for ideal in ideals:
+        key = ideal_key(associated_graded(ideal))
+        hist[key] = hist.get(key, 0) + 1
+    return hist
 
 
 class CensusReport:
@@ -173,12 +179,18 @@ class CensusReport:
         self.q, self.n, self.p = q, n, p
         points = enumerate_moduli_points(q, n, p, budget=point_budget)
         self.formula = moduli_count_formula(q, n, p)
-        self.chart_counts = dict(Counter(pt.chart for pt in points))
+        self.chart_counts: dict[int, int] = {}
+        seen = set()
+        for pt in points:
+            self.chart_counts[pt.chart] = self.chart_counts.get(pt.chart, 0) + 1
+            key = ideal_key(ideal_from_point(pt))
+            assert key not in seen, "two moduli points produced the same ideal"
+            seen.add(key)
         self.total = len(points)
-        self.point_ideal_keys = {ideal_key(ideal_from_point(pt)) for pt in points}
-        assert len(self.point_ideal_keys) == self.total, \
-            "two moduli points produced the same ideal"
-        self.brute_all = self.brute_arr = self.graded_histogram = None
+        self.point_ideal_keys = seen
+        self.brute_all = None
+        self.brute_arr = None
+        self.graded_histogram = None
         if brute_force:
             _, all_ideals = brute_force_ideals(q, n, p, arr_only=False,
                                                budget=subspace_budget)
@@ -192,9 +204,13 @@ class CensusReport:
 
     @property
     def counts_match(self) -> bool:
-        # equal sets of distinct ideals also have equal counts
-        return self.total == self.formula and (
-            self.brute_arr is None or self.point_ideal_keys == self.arr_ideal_keys)
+        if self.total != self.formula:
+            return False
+        if self.brute_arr is not None and self.brute_arr != self.total:
+            return False
+        if self.brute_arr is not None and self.point_ideal_keys != self.arr_ideal_keys:
+            return False
+        return True
 
     def to_dict(self) -> dict:
         out = {

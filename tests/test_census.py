@@ -164,6 +164,23 @@ def test_census_report():
     assert doc["graded_strata"] == [2, 2, 2]
 
 
+def test_census_report_catches_a_duplicating_oracle(monkeypatch):
+    # the same ideal twice keeps the key sets equal; only the count differs
+    from nilmoduli import census
+    walk = census.brute_force_ideals
+
+    def duplicating(q, n, p, **kw):
+        count, ideals = walk(q, n, p, **kw)
+        first_arr = next(i for i in ideals if is_arr(i))
+        return count + 1, ideals + [first_arr]
+
+    monkeypatch.setattr(census, "brute_force_ideals", duplicating)
+    rep = CensusReport(2, 3, 2)
+    assert rep.brute_arr == rep.total + 1
+    assert rep.point_ideal_keys == rep.arr_ideal_keys
+    assert not rep.counts_match
+
+
 def test_census_report_without_brute_force():
     rep = CensusReport(3, 3, 2, brute_force=False)
     assert rep.total == rep.formula == 28
