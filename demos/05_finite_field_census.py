@@ -3,8 +3,9 @@
 The moduli enumeration (normalized covector times free fiber matrix) has
 the closed count (p^q - 1)/(p - 1) * p^((q-1)(n-2)).  An independent
 enumeration of every colength-n ideal, staircase by staircase, recovers
-the same ideals, and stratifying them by associated graded type exposes
-the fibration over the projective space of base covectors.
+the same points through moduli_point, and the strata by associated graded
+type are the fibres over base points: the fibration over the projective
+space of base covectors.
 """
 
 from nilmoduli import CensusReport, brute_force_ideals, is_linear_ideal, is_arr

@@ -11,8 +11,9 @@ The library computes, over Q or F_p with exact arithmetic throughout:
 * moduli coordinates (base covector on projective space plus fiber
   matrix) of ideals and tuples, chart transitions, stabilizer actions,
   a versal generator family and the two-variable embedding;
-* finite-field censuses of moduli points against a brute-force ideal
-  sweep, stratified by associated graded type.
+* finite-field censuses of moduli points, matched through moduli_point
+  against a staircase walk over every colength-n ideal, with graded
+  strata the fibres over base points.
 """
 
 from .fields import QQ, PrimeField, RationalField, parse_field, ContextMismatch
@@ -39,6 +40,6 @@ from .moduli import (ModuliPoint, P1Element, fiber_coordinates,
                      dimension_report, DimensionReport, zero_fiber)
 from .census import (CensusReport, enumerate_moduli_points,
                      brute_force_ideals, stratify_by_graded,
-                     moduli_count_formula, ideal_key)
+                     moduli_count_formula)
 
 __version__ = "0.1.0"

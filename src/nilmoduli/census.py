@@ -3,7 +3,10 @@
 Two independent enumerations are compared: chart-by-chart moduli points
 (normalized covector, arbitrary fiber matrix), whose count has the closed
 form (p^q - 1)/(p - 1) * p^((q-1)(n-2)), and every colength-n ideal,
-filtered to the regular annihilators.
+filtered to the regular annihilators.  The regular ideals are matched
+with the points through moduli_point, n x n work each.  Their associated
+graded ideals are H + m^n, H the hyperplane of degree-1 parts (A/I is
+k[u]/u^n), so the graded strata are the fibres over base points.
 
 The ideals are walked staircase by staircase.  In the graded order the
 pivot of x_i * row is x_i * pivot, so the non-pivot monomials of an ideal
@@ -21,9 +24,9 @@ from itertools import islice, product
 
 from .algebra import BudgetExceeded, NilPolynomial, make_context
 from .fields import PrimeField
-from .ideals import Ideal, is_arr, associated_graded
+from .ideals import Ideal, base_point, is_arr
 from .linalg import nullspace
-from .moduli import ModuliPoint, ideal_from_point
+from .moduli import ModuliPoint, moduli_point
 
 DEFAULT_POINT_BUDGET = 10 ** 6
 DEFAULT_SUBSPACE_BUDGET = 10 ** 7
@@ -78,10 +81,9 @@ def _staircases(ctx):
     return grow((0,))
 
 
-def brute_force_ideals(q: int, n: int, p: int, arr_only: bool = False,
+def brute_force_ideals(q: int, n: int, p: int,
                        budget: int = DEFAULT_SUBSPACE_BUDGET):
-    """(count, ideals): every colength-n ideal over F_p by a staircase
-    walk, optionally filtered to those annihilating a regular tuple.
+    """(count, ideals): every colength-n ideal over F_p by a staircase walk.
 
     The budget caps staircases walked plus solution rows produced."""
     ctx = make_context(q, n, PrimeField(p))
@@ -144,32 +146,27 @@ def brute_force_ideals(q: int, n: int, p: int, arr_only: bool = False,
     ideals = [Ideal(ctx, rows, [r.index(field.one) for r in rows],
                     [NilPolynomial.from_vector(ctx, r) for r in rows])
               for rows in found]
-    if arr_only:
-        ideals = [i for i in ideals if is_arr(i)]
     return len(ideals), ideals
 
 
-def ideal_key(ideal: Ideal) -> tuple:
-    """Canonical hashable key: the RREF rows as formatted strings."""
-    fmt = ideal.ctx.field.format
-    return tuple(tuple(fmt(c) for c in row) for row in ideal.rows)
-
-
 def stratify_by_graded(ideals) -> dict:
-    """Histogram of ideals keyed by the canonical form of their associated
-    graded ideal (the structure map of the degeneration to monomial type)."""
+    """Histogram of regular-annihilator ideals by associated graded type.
+
+    That type is the base point: the graded ideal is H + m^n, H the
+    hyperplane of degree-1 parts, since A/I is k[u]/u^n (Nakayama)."""
     hist: dict = {}
     for ideal in ideals:
-        key = ideal_key(associated_graded(ideal))
+        key = base_point(ideal)
         hist[key] = hist.get(key, 0) + 1
     return hist
 
 
 class CensusReport:
     """Counts of moduli points over F_p compared against the closed formula
-    and, when feasible, against the independent subspace sweep.
+    and, when feasible, against the staircase walk: its regular ideals are
+    mapped to points by moduli_point and must give the same set.
 
-    Counts compare sets of F_p-rational ideals only; nothing here sees a
+    Counts compare sets of F_p-rational points only; nothing here sees a
     non-reduced structure."""
 
     def __init__(self, q: int, n: int, p: int,
@@ -180,37 +177,31 @@ class CensusReport:
         points = enumerate_moduli_points(q, n, p, budget=point_budget)
         self.formula = moduli_count_formula(q, n, p)
         self.chart_counts: dict[int, int] = {}
-        seen = set()
         for pt in points:
             self.chart_counts[pt.chart] = self.chart_counts.get(pt.chart, 0) + 1
-            key = ideal_key(ideal_from_point(pt))
-            assert key not in seen, "two moduli points produced the same ideal"
-            seen.add(key)
         self.total = len(points)
-        self.point_ideal_keys = seen
-        self.brute_all = None
-        self.brute_arr = None
+        self.points = set(points)
+        self.brute_all = self.brute_arr = self.arr_points = None
         self.graded_histogram = None
         if brute_force:
-            _, all_ideals = brute_force_ideals(q, n, p, arr_only=False,
-                                               budget=subspace_budget)
+            _, all_ideals = brute_force_ideals(q, n, p, budget=subspace_budget)
             arr_ideals = [i for i in all_ideals if is_arr(i)]
             self.brute_all = len(all_ideals)
             self.brute_arr = len(arr_ideals)
             self.graded_histogram = stratify_by_graded(arr_ideals)
-            self.arr_ideal_keys = {ideal_key(i) for i in arr_ideals}
+            self.arr_points = {moduli_point(i) for i in arr_ideals}
         self.note = ("counts compare F_p-rational ideals as sets; "
                      "no claim about scheme structure")
 
     @property
     def counts_match(self) -> bool:
-        if self.total != self.formula:
+        """The formula counts the enumerated points, all distinct; the
+        oracle's regular ideals are as many and map onto the same points,
+        so moduli_point is a bijection from them."""
+        if not self.formula == self.total == len(self.points):
             return False
-        if self.brute_arr is not None and self.brute_arr != self.total:
-            return False
-        if self.brute_arr is not None and self.point_ideal_keys != self.arr_ideal_keys:
-            return False
-        return True
+        return self.brute_arr is None or (self.brute_arr == self.total
+                                          and self.arr_points == self.points)
 
     def to_dict(self) -> dict:
         out = {

@@ -219,6 +219,8 @@ def cmd_census(args) -> int:
                          f"--field {args.field} does not match")
     kwargs = {}
     if args.budget is not None:
+        if args.budget < 0:
+            raise InputInvariantError(f"budget must be >= 0, got {args.budget}")
         kwargs = {"point_budget": args.budget, "subspace_budget": args.budget}
     skipped = {}
     try:

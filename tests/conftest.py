@@ -3,7 +3,8 @@ from itertools import chain, product
 import pytest
 
 from nilmoduli import (QQ, InputInvariantError, ModuliPoint, NilPolynomial,
-                       NilTuple, PrimeField, apply_automorphism, evaluate,
+                       NilTuple, PrimeField, apply_automorphism,
+                       associated_graded, evaluate,
                        fiber_add, fiber_coordinates, fiber_scale,
                        ideal_from_generators, ideal_from_span, invert,
                        lift_linear, linear_polynomial, make_context,
@@ -244,3 +245,13 @@ def blind_echelon_sweep(q, n, p):
     field = ctx.field
     return [ideal_from_span(ctx, [[field.scalar(v) for v in r] for r in rows])
             for rows in sorted(found)]
+
+
+def graded_strata_oracle(ideals):
+    """Ideals grouped by the RREF rows of their associated graded ideal, the
+    oracle for stratify_by_graded's grouping by base point.  Returns a dict
+    from those rows to the list of ideals with them."""
+    groups: dict = {}
+    for ideal in ideals:
+        groups.setdefault(associated_graded(ideal).rows, []).append(ideal)
+    return groups

@@ -1,11 +1,15 @@
 import pytest
 
-from conftest import blind_echelon_sweep
-from nilmoduli import (BudgetExceeded, CensusReport, base_ideal,
-                       brute_force_ideals, enumerate_moduli_points, ideal_key,
+from conftest import blind_echelon_sweep, graded_strata_oracle
+from nilmoduli import (BudgetExceeded, CensusReport, base_ideal, base_point,
+                       brute_force_ideals, enumerate_moduli_points,
                        ideal_from_point, is_arr, is_linear_ideal, make_context,
                        moduli_count_formula, moduli_point,
                        power_of_max_ideal, stratify_by_graded)
+
+
+def regular_ideals(q, n, p):
+    return [i for i in brute_force_ideals(q, n, p)[1] if is_arr(i)]
 
 
 def test_count_formula():
@@ -20,8 +24,8 @@ def test_count_formula():
 def test_enumerate_counts_and_injectivity(q, n, p, total):
     points = enumerate_moduli_points(q, n, p)
     assert len(points) == total
-    keys = {ideal_key(ideal_from_point(pt)) for pt in points}
-    assert len(keys) == total  # distinct points give distinct ideals
+    ideals = {ideal_from_point(pt) for pt in points}
+    assert len(ideals) == total  # distinct points give distinct ideals
 
 
 def test_enumerate_budget():
@@ -31,9 +35,9 @@ def test_enumerate_budget():
 
 def test_brute_force_small():
     count_all, ideals = brute_force_ideals(2, 3, 2)
-    count_arr, arr = brute_force_ideals(2, 3, 2, arr_only=True)
-    assert count_arr == 6
-    assert count_all > count_arr
+    arr = [i for i in ideals if is_arr(i)]
+    assert len(arr) == 6
+    assert count_all > len(arr)
     ctx = make_context(2, 3, "Fp:2")
     assert power_of_max_ideal(ctx, 2) in ideals  # the non-regular one
     assert power_of_max_ideal(ctx, 2) not in arr
@@ -113,7 +117,7 @@ def test_regular_ideals_sit_on_line_staircases(q, n, p):
 
 
 def test_single_variable_case():
-    count, ideals = brute_force_ideals(1, 3, 5, arr_only=True)
+    count, ideals = brute_force_ideals(1, 3, 5)
     assert count == 1
     assert ideals[0].rank == 0
     assert is_arr(ideals[0])
@@ -122,26 +126,20 @@ def test_single_variable_case():
 
 def test_brute_force_matches_enumeration():
     for (q, n, p) in [(2, 3, 2), (2, 3, 3), (2, 4, 2)]:
-        _, arr = brute_force_ideals(q, n, p, arr_only=True)
-        keys = {ideal_key(i) for i in arr}
-        point_keys = {ideal_key(ideal_from_point(pt))
-                      for pt in enumerate_moduli_points(q, n, p)}
-        assert keys == point_keys
+        point_ideals = {ideal_from_point(pt)
+                        for pt in enumerate_moduli_points(q, n, p)}
+        assert set(regular_ideals(q, n, p)) == point_ideals
 
 
 def test_every_brute_force_arr_ideal_round_trips():
-    _, arr = brute_force_ideals(2, 4, 2, arr_only=True)
-    for ideal in arr:
-        from nilmoduli import ideal_from_point as ifp
-        assert ifp(moduli_point(ideal)) == ideal
+    for ideal in regular_ideals(2, 4, 2):
+        assert ideal_from_point(moduli_point(ideal)) == ideal
 
 
 def test_stratification_shapes():
-    _, arr23 = brute_force_ideals(2, 3, 2, arr_only=True)
-    hist = stratify_by_graded(arr23)
+    hist = stratify_by_graded(regular_ideals(2, 3, 2))
     assert sorted(hist.values()) == [2, 2, 2]  # p+1 strata of size p
-    _, arr24 = brute_force_ideals(2, 4, 2, arr_only=True)
-    hist24 = stratify_by_graded(arr24)
+    hist24 = stratify_by_graded(regular_ideals(2, 4, 2))
     assert sorted(hist24.values()) == [4, 4, 4]  # p+1 strata of size p^2
 
 
@@ -149,7 +147,17 @@ def test_stratify_homogeneous_is_own_key():
     ctx = make_context(2, 3, "Fp:2")
     q1 = base_ideal(ctx)
     hist = stratify_by_graded([q1])
-    assert hist == {ideal_key(q1): 1}
+    assert hist == {base_point(q1): 1}
+
+
+@pytest.mark.parametrize("q,n,p", [(2, 3, 2), (2, 4, 3), (3, 3, 2), (2, 5, 2)])
+def test_strata_by_base_point_are_the_graded_types(q, n, p):
+    # each associated graded type lies over one base point, and the
+    # histogram counts exactly these groups, so the partitions agree
+    arr = regular_ideals(q, n, p)
+    groups = graded_strata_oracle(arr).values()
+    assert all(len({base_point(i) for i in g}) == 1 for g in groups)
+    assert stratify_by_graded(arr) == {base_point(g[0]): len(g) for g in groups}
 
 
 def test_census_report():
@@ -165,7 +173,7 @@ def test_census_report():
 
 
 def test_census_report_catches_a_duplicating_oracle(monkeypatch):
-    # the same ideal twice keeps the key sets equal; only the count differs
+    # the same ideal twice keeps the point sets equal; only the count differs
     from nilmoduli import census
     walk = census.brute_force_ideals
 
@@ -177,7 +185,39 @@ def test_census_report_catches_a_duplicating_oracle(monkeypatch):
     monkeypatch.setattr(census, "brute_force_ideals", duplicating)
     rep = CensusReport(2, 3, 2)
     assert rep.brute_arr == rep.total + 1
-    assert rep.point_ideal_keys == rep.arr_ideal_keys
+    assert rep.points == rep.arr_points
+    assert not rep.counts_match
+
+
+def test_census_report_catches_a_collapsing_point_map(monkeypatch):
+    # two regular ideals sent to one point keep the counts equal; only the
+    # point sets differ
+    from nilmoduli import census
+    first, second = regular_ideals(2, 3, 2)[:2]
+
+    def collapsing(ideal):
+        return moduli_point(first if ideal == second else ideal)
+
+    monkeypatch.setattr(census, "moduli_point", collapsing)
+    rep = CensusReport(2, 3, 2)
+    assert rep.brute_arr == rep.total == rep.formula
+    assert rep.arr_points < rep.points
+    assert not rep.counts_match
+
+
+def test_census_report_catches_a_repeated_point(monkeypatch):
+    # without the oracle, a point enumerated twice in place of another
+    # keeps the total at the formula; only the distinct count differs
+    from nilmoduli import census
+    enumerate_points = census.enumerate_moduli_points
+
+    def repeating(*args, **kw):
+        points = enumerate_points(*args, **kw)
+        return points[:-1] + points[:1]
+
+    monkeypatch.setattr(census, "enumerate_moduli_points", repeating)
+    rep = CensusReport(2, 3, 2, brute_force=False)
+    assert rep.total == rep.formula == len(rep.points) + 1
     assert not rep.counts_match
 
 
@@ -185,7 +225,7 @@ def test_census_report_without_brute_force():
     rep = CensusReport(3, 3, 2, brute_force=False)
     assert rep.total == rep.formula == 28
     assert rep.counts_match
-    assert rep.brute_all is None
+    assert rep.brute_all is None and rep.arr_points is None
 
 
 def test_linear_predicate_vs_arr_on_censuses():

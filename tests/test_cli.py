@@ -219,9 +219,10 @@ def test_census_and_dims_honour_field(capsys, monkeypatch):
 
 
 def test_census_budget_exit(capsys):
-    code, _, err = run(capsys, "--budget", "2", "census", "2", "3", "2")
-    assert code == 4
-    assert "budget" in err
+    for budget in ("2", "0"):  # zero is in range and exceeded
+        code, _, err = run(capsys, "--budget", budget, "census", "2", "3", "2")
+        assert code == 4
+        assert err == f"budget exceeded: 6 moduli points exceed the budget {budget}\n"
 
 
 def test_transition_command(capsys):
@@ -344,6 +345,8 @@ def test_oversized_algebra_exits_4(capsys, tmp_path):
      "parse error: census counts over F_2, its third argument; --field Fp:5 does not match"),
     (["census", "2", "3", "2", "--field", "Q"], 2,
      "parse error: census counts over F_2, its third argument; --field Q does not match"),
+    (["census", "2", "3", "2", "--budget", "-1"], 3,
+     "invalid input: budget must be >= 0, got -1"),
 ])
 def test_bad_values_exit_with_one_line(capsys, tmp_path, argv, code, err):
     files = {"point": {"context": {"q": 2, "n": 4, "field": "Q"},
