@@ -124,8 +124,8 @@ def cmd_classify(args) -> int:
                         f"{ideal.colength} != {t.ctx.n}")
         _emit(args, doc, "\n".join(lines + ["not cyclic: rejected"]))
         return EXIT_INVARIANT
-    for g in ideal.basis_polynomials():
-        lines.append(f"  {g}")
+    if not args.as_json:
+        lines += [f"  {g}" for g in ideal.basis_polynomials()]
     if regular:
         point = moduli.moduli_point(ideal)
         doc["moduli_point"] = serialize.point_to_json(point)

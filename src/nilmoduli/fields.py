@@ -4,13 +4,15 @@ Every computation in this package is exact.  Rational scalars are stdlib
 ``fractions.Fraction`` values (always normalized, positive denominator);
 prime-field scalars are ``Fp`` residues that remember their modulus.
 A field object converts between python ints / strings and scalars, and
-is the piece of context that makes mixing moduli a hard error.
+is the piece of context that makes mixing moduli a hard error.  It also
+encodes matrices as ints over a scale d for the kernels in ``linalg``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 class ContextMismatch(ValueError):
@@ -125,6 +127,7 @@ class RationalField:
     """The field Q, scalars are Fraction."""
 
     name: str = "Q"
+    p = 0  # the characteristic: integer encodings are never reduced
 
     @property
     def zero(self):
@@ -149,6 +152,16 @@ class RationalField:
 
     def format(self, s) -> str:
         return str(s)
+
+    def encode(self, rows):
+        """(int rows, d): the rows times d, the lcm of their denominators."""
+        d = lcm(*(getattr(c, "denominator", 0) for r in rows for c in r))
+        if not d:
+            raise ContextMismatch("cannot mix Q with non-rational scalars")
+        return [[c.numerator * (d // c.denominator) for c in r] for r in rows], d
+
+    def decode(self, rows, d: int):
+        return [[Fraction(x, d) for x in r] for r in rows]
 
     def __str__(self):
         return "Q"
@@ -189,6 +202,15 @@ class PrimeField:
 
     def format(self, s) -> str:
         return str(s.val)
+
+    def encode(self, rows):
+        """(residue rows, 1); their products are reduced mod p."""
+        if all(isinstance(c, Fp) and c.p == self.p for r in rows for c in r):
+            return [[c.val for c in r] for r in rows], 1
+        raise ContextMismatch(f"cannot mix F_{self.p} with other scalars")
+
+    def decode(self, rows, d: int):
+        return [[Fp(x, self.p) for x in r] for r in rows]
 
     def __str__(self):
         return self.name

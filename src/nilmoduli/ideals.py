@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .algebra import (AlgebraContext, NilPolynomial, Automorphism,
                       InternalCheckError, make_context)
-from .linalg import RowSpace, mat_vec, nullspace, transpose
+from .linalg import RowSpace, int_dots, nullspace, transpose
 
 
 class Ideal:
@@ -180,29 +180,37 @@ def orbit_ideal(ctx: AlgebraContext, mats, vecs) -> Ideal:
     Their null space is eliminated with the columns in reverse monomial
     order, so each null vector, read back in order, is 1 at its own free
     column and nonzero only on later pivot columns (the coset basis): it
-    is already a canonical RREF row."""
-    images = [None] * ctx.dim
-    images[0] = [list(w) for w in vecs]
+    is already a canonical RREF row.  The images are built on the int
+    encodings, each decoded with its exact scale."""
+    field = ctx.field
+    images, scales = [None] * ctx.dim, [None] * ctx.dim
+    images[0], scales[0] = field.encode(vecs)
+    enc = [field.encode(m) for m in mats]
     for idx in range(ctx.dim):
-        for i, mat in enumerate(mats):
+        for i, (mat, d) in enumerate(enc):
             tgt = ctx.shift[i][idx]
             if tgt is not None and images[tgt] is None:
-                images[tgt] = [mat_vec(mat, w) for w in images[idx]]
-    cols = [[c for w in img for c in w] for img in reversed(images)]
+                images[tgt], scales[tgt] = int_dots(images[idx], mat, field.p), scales[idx] * d
+    cols = [[c for w in field.decode(img, d) for c in w]
+            for img, d in zip(reversed(images), reversed(scales))]
     rows = [v[::-1] for v in reversed(nullspace(ctx.field, transpose(cols), ctx.dim))]
     pivots = [next(k for k, c in enumerate(v) if c) for v in rows]
     return Ideal(ctx, rows, pivots, [NilPolynomial.from_vector(ctx, v) for v in rows])
 
 
 def ideal_coset(ideal: Ideal):
-    """The map from a coefficient vector to the coordinates of its class
-    modulo the ideal on the canonical coset basis (the complement
-    monomials, in monomial order)."""
-    space, comp = ideal._space(), ideal.complement_monomials()
+    """The map from a monomial index (None for a truncated monomial) to
+    the coordinates of its class modulo the ideal on the canonical coset
+    basis (the complement monomials, in monomial order), read off the RREF
+    rows: a pivot monomial is minus its row, any other its unit vector."""
+    comp, field, row_of = (ideal.complement_monomials(), ideal.ctx.field,
+                           dict(zip(ideal.pivots, ideal.rows)))
 
-    def coset(vec):
-        red = space.reduce(vec)
-        return [red[m] for m in comp]
+    def coset(m):
+        row = row_of.get(m)
+        if row is not None:
+            return [-row[j] for j in comp]
+        return [field.one if j == m else field.zero for j in comp]
     return coset
 
 

@@ -4,9 +4,15 @@ Matrices are lists of row lists whose entries are field scalars
 (Fraction or Fp); nothing here ever touches floating point.  The
 workhorse is RowSpace, an incrementally maintained reduced row echelon
 form used for span membership, canonical subspace bases and rank.
+Products run on python ints: scalars are encoded at the boundary, the
+dot products of int_dots stay in ints, and each entry is decoded once.
 """
 
 from __future__ import annotations
+
+from operator import mul
+
+from .fields import QQ, Fp, PrimeField
 
 
 class RowSpace:
@@ -72,13 +78,6 @@ class RowSpace:
         return [tuple(r) for r in self.rows]
 
 
-def rref(field, rows):
-    """Canonical RREF of a list of row vectors: (rows, pivots)."""
-    space = RowSpace(field, len(rows[0]) if rows else 0)
-    space.extend(rows)
-    return space.basis(), tuple(space.pivots)
-
-
 def nullspace(field, rows, ncols: int):
     """Basis of the right null space {x : M x = 0} of the matrix with the
     given rows.  Computed from the RREF by the standard non-pivot trick."""
@@ -106,33 +105,30 @@ def zero_matrix(field, n: int, m: int | None = None):
     return [[field.zero] * m for _ in range(n)]
 
 
+def int_dots(rows, cols, p: int):
+    """[[r . c for c in cols] for r in rows] on int vectors, reduced mod p
+    when p is nonzero (the F_p encoding); cols is a list."""
+    if p:
+        return [[sum(map(mul, r, c)) % p for c in cols] for r in rows]
+    return [[sum(map(mul, r, c)) for c in cols] for r in rows]
+
+
+def _dots(a, cols):
+    """Rows of a dotted with cols on the int encodings in the field of a;
+    scalars of another field raise ContextMismatch."""
+    field = PrimeField(a[0][0].p) if isinstance(a[0][0], Fp) else QQ
+    (ia, da), (ic, dc) = field.encode(a), field.encode(cols)
+    if ic and len(ic[0]) != len(ia[0]):
+        raise ValueError(f"inner dimensions {len(ia[0])} and {len(ic[0])} differ")
+    return field.decode(int_dots(ia, ic, field.p), da * dc)
+
+
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            s = None
-            for t in range(k):
-                if ai[t]:
-                    term = ai[t] * b[t][j]
-                    s = term if s is None else s + term
-            row.append(s if s is not None else ai[0] * 0)
-        out.append(row)
-    return out
+    return _dots(a, list(zip(*b))) if a else []
 
 
 def mat_vec(a, v):
-    return [sum_entries(row, v) for row in a]
-
-
-def sum_entries(row, v):
-    s = row[0] * v[0]
-    for t in range(1, len(row)):
-        if row[t]:
-            s = s + row[t] * v[t]
-    return s
+    return [row[0] for row in _dots(a, [v])] if a else []
 
 
 def mat_inv(field, a):

@@ -179,17 +179,17 @@ def _multiplication(field, f):
 
 def moduli_point(ideal: Ideal) -> ModuliPoint:
     """Complete conjugacy invariant of a regular-annihilator ideal: its base
-    point (k, c) and the fiber matrix read in A/I by reduction, where x_j
-    is c_j x_k + s(x_k)."""
+    point (k, c) and the fiber matrix read in A/I, where x_j is
+    c_j x_k + s(x_k), from the classes of the monomials x_k^d and x_j."""
     k, c = base_point(ideal)
     ctx = ideal.ctx
     if ideal.colength != ctx.n:
         raise ValueError(f"colength {ideal.colength} != {ctx.n}")
     coset = ideal_coset(ideal)
-    xk = NilPolynomial.variable(ctx, k)
-    frame = linalg.transpose([coset((xk ** d).to_vector()) for d in range(ctx.n)])
-    point = _read_point(ctx, k, frame, [coset(NilPolynomial.variable(ctx, j).to_vector())
-                                        for j in range(1, ctx.q + 1)])
+    powers = [ctx.index[tuple(d if i == k - 1 else 0 for i in range(ctx.q))]
+              for d in range(ctx.n)]
+    frame = linalg.transpose([coset(m) for m in powers])
+    point = _read_point(ctx, k, frame, [coset(ctx.shift[j][0]) for j in range(ctx.q)])
     if point.c != c:
         raise InternalCheckError("the quotient reads a covector other than the base point")
     return point

@@ -11,6 +11,7 @@ matrices on the canonical coset basis, and explicit conjugators.
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 from .algebra import AlgebraContext, NilPolynomial, InternalCheckError
 from .fields import InputInvariantError, PrimeField
@@ -33,21 +34,25 @@ class NilTuple:
         for k, m in enumerate(mats):
             if len(m) != n or any(len(r) != n for r in m):
                 raise InputInvariantError(f"matrix {k+1} is not {n} x {n}")
+        # checked on the int encodings, mats[k] = ints[k] / d[k]
+        field = ctx.field
+        ints, d = zip(*(field.encode(m) for m in mats))
+        cols = [list(zip(*m)) for m in ints]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
-                ab = linalg.mat_mul(mats[i], mats[j])
-                ba = linalg.mat_mul(mats[j], mats[i])
-                if not linalg.mat_eq(ab, ba):
+                if (linalg.int_dots(ints[i], cols[j], field.p)
+                        != linalg.int_dots(ints[j], cols[i], field.p)):
                     raise InputInvariantError(
                         f"matrices {i+1} and {j+1} do not commute")
         powers = []
         for k, m in enumerate(mats):
-            pw = [linalg.identity_matrix(ctx.field, n), m]
+            pw = [ints[k]]
             for _ in range(n - 1):
-                pw.append(linalg.mat_mul(pw[-1], m))
-            if not _is_zero_matrix(pw[n]):
+                pw.append(linalg.int_dots(pw[-1], cols[k], field.p))
+            if not _is_zero_matrix(pw[-1]):
                 raise InputInvariantError(f"matrix {k+1} is not nilpotent of order {n}")
-            powers.append(tuple(pw))
+            powers.append((linalg.identity_matrix(field, n), m,
+                           *(field.decode(x, d[k] ** e) for e, x in enumerate(pw[1:], 2))))
         self.ctx = ctx
         self.mats = tuple(mats)
         self.powers = tuple(powers)
@@ -63,20 +68,10 @@ class NilTuple:
 def evaluate(t: NilTuple, f: NilPolynomial):
     """The matrix f(N_1, ..., N_q)."""
     t.ctx.check_same(f.ctx)
-    n = t.ctx.n
-    out = linalg.zero_matrix(t.ctx.field, n)
+    out = linalg.zero_matrix(t.ctx.field, t.ctx.n)
     for e, c in f.terms.items():
-        term = None
-        for i, k in enumerate(e):
-            if k:
-                pw = t.powers[i][k]
-                term = pw if term is None else linalg.mat_mul(term, pw)
-        if term is None:
-            term = linalg.identity_matrix(t.ctx.field, n)
-        for r in range(n):
-            for s in range(n):
-                if term[r][s]:
-                    out[r][s] = out[r][s] + c * term[r][s]
+        term = reduce(linalg.mat_mul, [t.powers[i][k] for i, k in enumerate(e)])
+        out = [[x + c * y for x, y in zip(ro, rt)] for ro, rt in zip(out, term)]
     return out
 
 
@@ -145,9 +140,8 @@ def multiplication_matrices(ideal: Ideal, require_arr: bool = False) -> NilTuple
         raise ValueError("ideal does not annihilate a regular tuple")
     coset, comp = ideal_coset(ideal), ideal.complement_monomials()
     # column m of N_i is the class of x_i times the monomial m (zero if truncated)
-    return NilTuple(ctx, [linalg.transpose(
-        [coset([ctx.field.one if k == shift[m] else ctx.field.zero for k in range(ctx.dim)])
-         for m in comp]) for shift in ctx.shift])
+    return NilTuple(ctx, [linalg.transpose([coset(shift[m]) for m in comp])
+                          for shift in ctx.shift])
 
 
 def _krylov_frame(t: NilTuple, i: int):

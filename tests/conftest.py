@@ -3,13 +3,13 @@ from itertools import chain, product
 import pytest
 
 from nilmoduli import (QQ, InputInvariantError, ModuliPoint, NilPolynomial,
-                       NilTuple, PrimeField, apply_automorphism,
+                       NilTuple, PrimeField, apply_automorphism, base_point,
                        associated_graded, evaluate,
                        fiber_add, fiber_coordinates, fiber_scale,
                        ideal_from_generators, ideal_from_span, invert,
                        lift_linear, linear_polynomial, make_context,
                        transition_map)
-from nilmoduli.linalg import nullspace, transpose
+from nilmoduli.linalg import mat_inv, nullspace, transpose
 
 
 def shift_matrix(field, n, power=1):
@@ -76,6 +76,53 @@ def grid_witness(target):
     grid = ([field.scalar(v) for v in a] for a in product(values, repeat=q))
     return next((a for a in chain(units, grid) if any(a) and top_survives(a)),
                 None)
+
+
+def scalar_mat_mul(a, b):
+    """The product on field scalars, one multiply-add at a time: the oracle
+    for the integer kernel of linalg.mat_mul."""
+    out = []
+    for ai in a:
+        row = []
+        for j in range(len(b[0])):
+            s = None
+            for t in range(len(b)):
+                if ai[t]:
+                    term = ai[t] * b[t][j]
+                    s = term if s is None else s + term
+            row.append(s if s is not None else ai[0] * 0)
+        out.append(row)
+    return out
+
+
+def sum_entries(row, v):
+    s = row[0] * v[0]
+    for t in range(1, len(row)):
+        if row[t]:
+            s = s + row[t] * v[t]
+    return s
+
+
+def scalar_mat_vec(a, v):
+    """The oracle for linalg.mat_vec, on field scalars."""
+    return [sum_entries(row, v) for row in a]
+
+
+def coset_moduli_point(ideal):
+    """moduli_point by reducing dim-sized vectors, the oracle for reading
+    classes off the RREF rows: the classes of the powers x_k^d and of the
+    x_j modulo the ideal, then one inverse of the frame."""
+    k, _ = base_point(ideal)
+    ctx, comp = ideal.ctx, ideal.complement_monomials()
+
+    def coset(f):
+        red = ideal.reduce(f).to_vector()
+        return [red[m] for m in comp]
+    frame = transpose([coset(x(ctx, k) ** d) for d in range(ctx.n)])
+    inv = mat_inv(ctx.field, frame)
+    series = [scalar_mat_vec(inv, coset(x(ctx, j))) for j in range(1, ctx.q + 1)]
+    return ModuliPoint(ctx, k, [f[1] for f in series],
+                       [f[2:] for j, f in enumerate(series, 1) if j != k])
 
 
 def two_pass_annihilator(t):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nilmoduli import QQ, NilTuple, PrimeField, make_context, moduli
+from nilmoduli import QQ, NilPolynomial, NilTuple, PrimeField, make_context, moduli
 from nilmoduli.cli import main
 from nilmoduli.serialize import tuple_to_json, dumps
 
@@ -39,6 +39,21 @@ def test_classify_regular(capsys, jj2_file):
     assert doc["moduli_point"]["chart"] == 1
     assert doc["moduli_point"]["c"] == ["1", "0"]
     assert doc["moduli_point"]["b"] == [["1"]]
+
+
+def test_json_classify_prints_no_polynomials(capsys, jj2_file, monkeypatch):
+    """--json classify builds no text listing of the annihilator."""
+    class Printed(Exception):
+        pass
+
+    def refuse(self):
+        raise Printed
+    monkeypatch.setattr(NilPolynomial, "__repr__", refuse)
+    code, out, _ = run(capsys, "--json", "classify", jj2_file)
+    assert code == 0
+    assert json.loads(out)["moduli_point"]["b"] == [["1"]]
+    with pytest.raises(Printed):  # the text listing does print them
+        main(["classify", jj2_file])
 
 
 def test_classify_shift_only(capsys, tmp_path, ctx23):

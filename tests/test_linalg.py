@@ -1,9 +1,21 @@
 import random
 from fractions import Fraction
 
-from nilmoduli import PrimeField, QQ
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nilmoduli import ContextMismatch, PrimeField, QQ
 from nilmoduli.linalg import (RowSpace, identity_matrix, mat_eq, mat_inv,
-                              mat_mul, nullspace, rref)
+                              mat_mul, mat_vec, nullspace)
+
+from conftest import scalar_mat_mul, scalar_mat_vec
+
+
+def rref(field, rows):
+    """Canonical RREF of a list of row vectors: (rows, pivots)."""
+    space = RowSpace(field, len(rows[0]))
+    space.extend(rows)
+    return space.basis(), tuple(space.pivots)
 
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -68,3 +80,85 @@ def test_mat_inv_round_trip():
 def test_mat_inv_detects_singular():
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert mat_inv(QQ, m) is None
+
+
+# --- the integer kernels against the scalar loops -------------------------
+
+FIELDS = [QQ, PrimeField(2), PrimeField(7)]
+
+
+def scalars(field):
+    """Q: numerators -20..20 over denominators 1..12, so negative and
+    non-integral; F_p: every residue."""
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+    return st.integers(0, field.p - 1).map(field.scalar)
+
+
+def matrix(field, rows, cols, zero=False):
+    entry = st.just(field.zero) if zero else scalars(field)
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def product_operands(draw):
+    """(a, b, v, w) over one field: a is r x k, b is k x m, v has length
+    k and w length m.  Shapes include 1 x k rows, tall dim x n blocks and
+    zero matrices."""
+    field = draw(st.sampled_from(FIELDS))
+    r, k, m = draw(st.sampled_from([(1, 1, 1), (1, 5, 3), (4, 1, 4), (3, 3, 3),
+                                    (10, 3, 2), (2, 6, 10), (6, 6, 6)]))
+    zero_a, zero_b = draw(st.booleans()), draw(st.booleans())
+    a = draw(matrix(field, r, k, zero_a and draw(st.booleans())))
+    b = draw(matrix(field, k, m, zero_b and draw(st.booleans())))
+    v = draw(matrix(field, 1, k, zero_b and draw(st.booleans())))[0]
+    w = draw(matrix(field, 1, m))[0]
+    return a, b, v, w
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_operands())
+def test_int_products_equal_scalar_loops(ops):
+    a, b, v, w = ops
+    got, want = mat_mul(a, b), scalar_mat_mul(a, b)
+    assert got == want
+    assert [type(c) for row in got for c in row] == [type(c) for row in want for c in row]
+    assert mat_vec(a, v) == scalar_mat_vec(a, v)
+    assert mat_vec(b, w) == scalar_mat_vec(b, w)
+
+
+def test_rational_products_keep_lowest_terms():
+    a = [[Fraction(1, 6), Fraction(-3, 4)]]
+    b = [[Fraction(2, 3)], [Fraction(2, 9)]]
+    out = mat_mul(a, b)[0][0]
+    assert out == Fraction(1, 9) - Fraction(1, 6)
+    assert (out.numerator, out.denominator) == (-1, 18)
+    assert mat_vec([[Fraction(1, 2), Fraction(1, 2)]], [Fraction(1), Fraction(1)]) == [1]
+
+
+@pytest.mark.parametrize("left,right", [(QQ, PrimeField(5)), (PrimeField(5), QQ),
+                                        (PrimeField(5), PrimeField(7)),
+                                        (PrimeField(7), PrimeField(5))])
+def test_mixed_fields_raise_context_mismatch(left, right):
+    a = identity_matrix(left, 2)
+    b = identity_matrix(right, 2)
+    with pytest.raises(ContextMismatch):
+        mat_mul(a, b)
+    with pytest.raises(ContextMismatch):
+        mat_vec(a, b[0])
+
+
+def test_mixed_entries_inside_one_operand_raise():
+    f5 = PrimeField(5)
+    with pytest.raises(ContextMismatch, match="cannot mix F_5 with other scalars"):
+        mat_mul([[f5.one, PrimeField(7).one]], [[f5.one], [f5.one]])
+    with pytest.raises(ContextMismatch, match="cannot mix Q with non-rational scalars"):
+        mat_vec([[QQ.one, QQ.one]], [QQ.one, f5.one])
+
+
+def test_shape_mismatch_raises():
+    with pytest.raises(ValueError, match="inner dimensions 2 and 3 differ"):
+        mat_mul(identity_matrix(QQ, 2), identity_matrix(QQ, 3))
+    with pytest.raises(ValueError, match="inner dimensions 2 and 1 differ"):
+        mat_vec(identity_matrix(QQ, 2), [QQ.one])

@@ -10,6 +10,7 @@ the Krylov frame alone.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,8 +23,8 @@ from nilmoduli import (QQ, ModuliPoint, NilTuple, PrimeField, annihilator,
                        recover_conjugator, transition_map, tuple_point)
 from nilmoduli.linalg import mat_mul
 
-from conftest import (e_matrix, section_fiber, section_ideal, shift_matrix,
-                      two_pass_annihilator, x)
+from conftest import (coset_moduli_point, e_matrix, section_fiber,
+                      section_ideal, shift_matrix, two_pass_annihilator, x)
 from test_regularity import mixed, non_curvilinear
 
 F5 = PrimeField(5)
@@ -83,6 +84,30 @@ def test_moduli_point_matches_section_route_on_census(q, n, p):
     for ideal in regular:
         point = moduli_point(ideal)
         assert point.b == section_fiber(ideal, point.chart, point.c)
+
+
+@pytest.mark.parametrize("q,n,p", [(2, 4, 3), (3, 3, 2)])
+def test_moduli_point_matches_coset_route_on_census(q, n, p):
+    points = enumerate_moduli_points(q, n, p)
+    assert len(points) == moduli_count_formula(q, n, p)
+    for point in points:
+        ideal = ideal_from_point(point)
+        assert moduli_point(ideal) == coset_moduli_point(ideal) == point
+
+
+@pytest.mark.parametrize("q,n", [(3, 5), (4, 6)])
+def test_moduli_point_matches_coset_route_on_rational_points(q, n):
+    """Canonical points on every chart with entries p/d, |p| <= 3, d <= 5."""
+    rng = random.Random(q * 10 + n)
+    ctx = make_context(q, n)
+    frac = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 5))
+    for chart in range(1, q + 1):
+        for _ in range(3):
+            c = [0] * (chart - 1) + [1] + [frac() for _ in range(q - chart)]
+            b = [[frac() for _ in range(n - 2)] for _ in range(q - 1)]
+            ideal = ideal_from_point(ModuliPoint(ctx, chart, c, b))
+            assert moduli_point(ideal) == coset_moduli_point(ideal)
+            assert moduli_point(ideal) == ModuliPoint(ctx, chart, c, b)
 
 
 def test_moduli_point_matches_section_route_on_every_chart():

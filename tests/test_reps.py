@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from nilmoduli import (InputInvariantError, NilTuple,
+from nilmoduli import (QQ, InputInvariantError, NilTuple, PrimeField,
                        annihilator, apply_automorphism, base_ideal,
                        automorphism_from_images, conjugate, evaluate,
                        express_in_cyclic,
@@ -12,9 +12,10 @@ from nilmoduli import (InputInvariantError, NilTuple,
                        make_context, moduli_point, multiplication_matrices,
                        power_of_max_ideal, random_regular_tuple,
                        recover_conjugator)
-from nilmoduli.linalg import mat_eq, mat_mul
+from nilmoduli.linalg import identity_matrix, mat_eq, mat_inv, mat_mul
 
-from conftest import e_matrix, grid_witness, shift_matrix, x
+from conftest import (e_matrix, grid_witness, scalar_mat_mul, shift_matrix,
+                      two_pass_annihilator, x)
 
 
 @pytest.fixture
@@ -36,6 +37,60 @@ def test_nonnilpotent_rejected(ctx23):
     diag = [[f.one if i == j else f.zero for j in range(3)] for i in range(3)]
     with pytest.raises(InputInvariantError, match="nilpotent"):
         NilTuple(ctx23, [diag, [[f.zero] * 3 for _ in range(3)]])
+
+
+def rational_conjugate(field, mats):
+    """g m g^-1 for g = [[1, 1/2, 1/7], [0, 1/3, 0], [1/5, 0, 1]] over Q (the
+    entries come out non-integral); the matrices as they are over F_p."""
+    if field != QQ:
+        return mats
+    g = [[Fraction(1), Fraction(1, 2), Fraction(1, 7)],
+         [Fraction(0), Fraction(1, 3), Fraction(0)],
+         [Fraction(1, 5), Fraction(0), Fraction(1)]]
+    ginv = mat_inv(QQ, g)
+    out = [scalar_mat_mul(scalar_mat_mul(g, m), ginv) for m in mats]
+    assert all(any(c.denominator > 1 for row in m for c in row) for m in out)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_rejections_over_fp_and_rational_q(field):
+    ctx = make_context(2, 3, field)
+    f = ctx.field
+    noncommuting = rational_conjugate(f, [e_matrix(f, 3, 2, 1), e_matrix(f, 3, 3, 2)])
+    with pytest.raises(InputInvariantError, match="^matrices 1 and 2 do not commute$"):
+        NilTuple(ctx, noncommuting)
+    half = [[f.scalar(3) if i == j else f.zero for j in range(3)] for i in range(3)]
+    if field == QQ:
+        half = [[c / 6 for c in row] for row in half]
+    commuting = rational_conjugate(f, [shift_matrix(f, 3), half])
+    with pytest.raises(InputInvariantError, match="^matrix 2 is not nilpotent of order 3$"):
+        NilTuple(ctx, commuting)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_powers_equal_scalar_products(field):
+    ctx = make_context(2, 3, field)
+    f = ctx.field
+    mats = rational_conjugate(f, [shift_matrix(f, 3), shift_matrix(f, 3, 2)])
+    t = NilTuple(ctx, mats)
+    for m, pw in zip(t.mats, t.powers):
+        want = [identity_matrix(f, 3), m]
+        for _ in range(3 - 1):
+            want.append(scalar_mat_mul(want[-1], m))
+        assert [[list(r) for r in p] for p in pw] == [[list(r) for r in p] for p in want]
+    assert annihilator(t) == two_pass_annihilator(t)
+
+
+def test_checks_over_fp_are_modular():
+    """Residue products that differ over the integers but agree mod 5:
+    the pair commutes in F_5, and [[1, 1], [4, 4]] squares to 0 there."""
+    f5 = PrimeField(5)
+    a = [[f5.scalar(v) for v in row] for row in ([0, 0, 0], [1, 0, 0], [0, 2, 0])]
+    b = [[f5.scalar(v) for v in row] for row in ([0, 0, 0], [3, 0, 0], [0, 1, 0])]
+    NilTuple(make_context(2, 3, "Fp:5"), [a, b])
+    m = [[f5.scalar(v) for v in row] for row in ([1, 1], [4, 4])]
+    assert NilTuple(make_context(1, 2, "Fp:5"), [m]).powers[0][2] == [[0, 0], [0, 0]]
 
 
 def test_wrong_shape_rejected(ctx23):
