@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 parse error, 3 input invariant violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import census as census_mod
@@ -49,6 +50,7 @@ def _global_flags() -> argparse.ArgumentParser:
     return g
 
 
+@functools.cache  # parse_args keeps no state in the parser
 def build_parser() -> argparse.ArgumentParser:
     flags = _global_flags()
     ap = argparse.ArgumentParser(

@@ -5,6 +5,12 @@ span over the ordered monomial basis, together with the generators it
 was built from.  RREF is unique for the fixed monomial order, so ideal
 equality is literal equality of basis matrices.
 
+Every constructor keeps the generator invariant: the stored generators
+generate the ideal.  An ideal is its generators closed under x_1..x_q,
+and one multiplication step, _times, builds ideals (ideal_from_generators),
+moves them (apply_automorphism maps only the generators) and checks them
+(Ideal.verify_closure).
+
 Because the monomial order is graded, multiplication by a generator
 moves every basis column strictly to the right.  Two structural
 consequences are used throughout: the span of an ideal's rows with pivot
@@ -20,6 +26,10 @@ from .linalg import RowSpace, int_dots, nullspace, transpose
 
 
 class Ideal:
+    """An ideal as the RREF rows of its span (pivots are their leading
+    columns) and generators that generate it; apply_automorphism moves
+    only the generators, so a direct Ideal(...) must keep that true."""
+
     __slots__ = ("ctx", "rows", "pivots", "generators")
 
     def __init__(self, ctx: AlgebraContext, rows, pivots, generators):
@@ -62,20 +72,12 @@ class Ideal:
         return self.reduce(f).is_zero()
 
     def verify_closure(self) -> None:
-        """Check x_i * row stays in the span for every generator and row."""
+        """Check x_i * row stays in the span for every variable and row."""
         sp = self._space()
         for i in range(self.ctx.q):
-            shift = self.ctx.shift[i]
-            for row in self.rows:
-                prod = [self.ctx.field.zero] * self.ctx.dim
-                for idx, c in enumerate(row):
-                    if c:
-                        tgt = shift[idx]
-                        if tgt is not None:
-                            prod[tgt] = prod[tgt] + c
-                if not sp.contains(prod):
-                    raise InternalCheckError(
-                        f"span is not closed under multiplication by x{i+1}")
+            if not all(sp.contains(_times(self.ctx, i, row)) for row in self.rows):
+                raise InternalCheckError(
+                    f"span is not closed under multiplication by x{i+1}")
 
     # --- subspace calculus ------------------------------------------------
     def sum(self, other: "Ideal") -> "Ideal":
@@ -101,9 +103,7 @@ class Ideal:
         field, dim = self.ctx.field, self.ctx.dim
         funcs = (nullspace(field, [list(r) for r in self.rows], dim)
                  + nullspace(field, [list(r) for r in other.rows], dim))
-        vecs = nullspace(field, funcs, dim)
-        out = ideal_from_span(self.ctx, vecs)
-        return out
+        return ideal_from_span(self.ctx, nullspace(field, funcs, dim))
 
     def __eq__(self, other):
         return (isinstance(other, Ideal) and self.ctx.same(other.ctx)
@@ -119,45 +119,30 @@ class Ideal:
                 f"generators=[{gens}{more}])")
 
 
+def _times(ctx: AlgebraContext, i: int, vec) -> list:
+    """x_(i+1) * vec: each monomial moves to its shift.  The move is one to
+    one on the monomials it does not truncate, so nothing accumulates."""
+    out = [ctx.field.zero] * ctx.dim
+    for c, tgt in zip(vec, ctx.shift[i]):
+        if tgt is not None:
+            out[tgt] = c
+    return out
+
+
 def ideal_from_generators(ctx: AlgebraContext, gens) -> Ideal:
-    """Ideal generated by the given elements: the span of all monomial
-    multiples m * g with |m| <= n - 1, which is closed by construction."""
+    """Ideal generated by the given elements: their span closed under
+    x_1..x_q.  Each vector that raises the rank queues its q multiples; a
+    vector already in the span has its multiples there too."""
     gens = list(gens)
     for g in gens:
         ctx.check_same(g.ctx)
     sp = RowSpace(ctx.field, ctx.dim)
-    for g in gens:
-        base = g.to_vector()
-        for mono in range(ctx.dim):
-            vec = _monomial_multiple(ctx, base, mono)
-            if vec is not None:
-                sp.insert(vec)
+    todo = [g.to_vector() for g in gens]
+    while todo:
+        vec = todo.pop()
+        if sp.insert(vec):
+            todo.extend(_times(ctx, i, vec) for i in range(ctx.q))
     return Ideal(ctx, sp.basis(), sp.pivots, gens)
-
-
-def _monomial_multiple(ctx, vec, mono_idx):
-    """Coefficient vector of (monomial at mono_idx) * (poly with vector vec),
-    or None when the product truncates to zero."""
-    exp = ctx.monomials[mono_idx]
-    if mono_idx == 0:
-        return list(vec)
-    out = [ctx.field.zero] * ctx.dim
-    hit = False
-    for idx, c in enumerate(vec):
-        if not c:
-            continue
-        tgt = idx
-        for i, k in enumerate(exp):
-            for _ in range(k):
-                tgt = ctx.shift[i][tgt]
-                if tgt is None:
-                    break
-            if tgt is None:
-                break
-        if tgt is not None:
-            out[tgt] = out[tgt] + c
-            hit = True
-    return out if hit else None
 
 
 def ideal_from_span(ctx: AlgebraContext, vectors, generators=None) -> Ideal:
@@ -229,28 +214,26 @@ def power_of_max_ideal(ctx: AlgebraContext, j: int) -> Ideal:
     """m^j: the span of all monomials of total degree >= j (0 <= j <= n)."""
     if not 0 <= j <= ctx.n:
         raise ValueError(f"power {j} out of range 0..{ctx.n}")
-    start = ctx.deg_start[j] if j < ctx.n else ctx.dim
-    rows = []
-    for idx in range(start, ctx.dim):
-        vec = [ctx.field.zero] * ctx.dim
-        vec[idx] = ctx.field.one
-        rows.append(vec)
-    if j == 0:
-        gens = [NilPolynomial.one(ctx)]
-    else:
-        end = ctx.deg_start[j + 1] if j < ctx.n else start
-        gens = [NilPolynomial.monomial(ctx, ctx.monomials[i])
-                for i in range(start, min(end, ctx.dim))]
+    start = ctx.deg_start[j]
+    end = ctx.deg_start[j + 1] if j < ctx.n else start
+    rows = [[ctx.field.zero] * ctx.dim for _ in range(start, ctx.dim)]
+    for idx, row in enumerate(rows, start):
+        row[idx] = ctx.field.one
+    gens = [NilPolynomial.monomial(ctx, ctx.monomials[i]) for i in range(start, end)]
     return Ideal(ctx, rows, list(range(start, ctx.dim)), gens)
 
 
 def apply_automorphism(sigma: Automorphism, ideal: Ideal) -> Ideal:
-    """Image ideal sigma(I).  Since sigma is a linear bijection the images
-    of the basis rows span the image, which is again an ideal."""
+    """Image ideal sigma(I), generated by the images of I's generators.
+    sigma is a bijection, so the stored generators generate I exactly when
+    they lie in I and their images generate an ideal of I's rank."""
     sigma.ctx.check_same(ideal.ctx)
-    vecs = [sigma(p).to_vector() for p in ideal.basis_polynomials()]
-    gens = [sigma(g) for g in ideal.generators]
-    return ideal_from_span(ideal.ctx, vecs, generators=gens)
+    out = ideal_from_generators(ideal.ctx, [sigma(g) for g in ideal.generators])
+    if out.rank != ideal.rank or not all(map(ideal.contains, ideal.generators)):
+        raise InternalCheckError(
+            f"the generators of the ideal do not generate it: they move to "
+            f"rank {out.rank}, the ideal has rank {ideal.rank}")
+    return out
 
 
 def associated_graded(ideal: Ideal) -> Ideal:
@@ -264,10 +247,8 @@ def associated_graded(ideal: Ideal) -> Ideal:
     vecs = []
     for row, piv in zip(ideal.rows, ideal.pivots):
         d = ctx.degree_of_index(piv)
-        lo = ctx.deg_start[d]
-        hi = ctx.deg_start[d + 1] if d + 1 <= ctx.n - 1 else ctx.dim
-        vec = [c if lo <= i < hi else ctx.field.zero for i, c in enumerate(row)]
-        vecs.append(vec)
+        lo, hi = ctx.deg_start[d], ctx.deg_start[d + 1]
+        vecs.append([c if lo <= i < hi else ctx.field.zero for i, c in enumerate(row)])
     out = ideal_from_span(ctx, vecs)
     if out.rank != ideal.rank:
         raise InternalCheckError("associated graded changed the colength")
@@ -281,13 +262,12 @@ def truncate(ideal: Ideal, m: int) -> Ideal:
     if not 2 <= m < ctx.n:
         raise ValueError(f"truncation order {m} out of range 2..{ctx.n - 1}")
     tgt = make_context(ctx.q, m, ctx.field)
-    vecs = []
-    for p in ideal.basis_polynomials():
-        q = NilPolynomial(tgt, {e: c for e, c in p.terms.items() if sum(e) < m})
-        vecs.append(q.to_vector())
-    gens = [NilPolynomial(tgt, {e: c for e, c in g.terms.items() if sum(e) < m})
-            for g in ideal.generators]
-    return ideal_from_span(tgt, vecs, generators=[g for g in gens if not g.is_zero()])
+
+    def cut(f):
+        return NilPolynomial(tgt, {e: c for e, c in f.terms.items() if sum(e) < m})
+    vecs = [cut(f).to_vector() for f in ideal.basis_polynomials()]
+    gens = [g for g in map(cut, ideal.generators) if not g.is_zero()]
+    return ideal_from_span(tgt, vecs, generators=gens)
 
 
 def _hyperplane_rows(ideal: Ideal):

@@ -132,25 +132,14 @@ def mat_vec(a, v):
 
 
 def mat_inv(field, a):
-    """Inverse of a square matrix, or None if singular."""
+    """Inverse of a square matrix, or None if singular: the RREF of [A | I]
+    is [I | A^-1] unless a pivot lands at a column >= n."""
     n = len(a)
-    aug = [list(a[i]) + [field.one if j == i else field.zero for j in range(n)]
-           for i in range(n)]
-    col = 0
-    for i in range(n):
-        r = next((r for r in range(i, n) if aug[r][col]), None)
-        if r is None:
-            return None
-        aug[i], aug[r] = aug[r], aug[i]
-        lead = aug[i][col]
-        if lead != field.one:
-            aug[i] = [c / lead for c in aug[i]]
-        for r2 in range(n):
-            if r2 != i and aug[r2][col]:
-                c = aug[r2][col]
-                aug[r2] = [x - c * y for x, y in zip(aug[r2], aug[i])]
-        col += 1
-    return [row[n:] for row in aug]
+    space = RowSpace(field, 2 * n)
+    space.extend([*row, *unit] for row, unit in zip(a, identity_matrix(field, n)))
+    if any(p >= n for p in space.pivots):
+        return None
+    return [row[n:] for row in space.rows]
 
 
 def mat_eq(a, b) -> bool:

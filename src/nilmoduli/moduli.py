@@ -373,21 +373,10 @@ def p1_action_twisted(ctx: AlgebraContext, p: P1Element, b, t):
 def p1_weight_action(ctx: AlgebraContext, p: P1Element, b):
     """Closed linear form of the t = 0 action: mix the rows of b by the
     inverse lower block and scale column j by the corner to the power j."""
-    field = ctx.field
     if ctx.q == 1:
         return tuple()
-    block_inv = linalg.mat_inv(field, p.lower_block())
-    out = []
-    for k in range(ctx.q - 1):
-        row = []
-        for j in range(2, ctx.n):
-            s = field.zero
-            for i in range(ctx.q - 1):
-                if block_inv[k][i] and b[i][j - 2]:
-                    s = s + block_inv[k][i] * b[i][j - 2]
-            row.append(s * p.p11 ** j)
-        out.append(tuple(row))
-    return tuple(out)
+    block_inv = linalg.mat_inv(ctx.field, p.lower_block())
+    return weight_scale(ctx, linalg.mat_mul(block_inv, b), p.p11)
 
 
 def weight_scale(ctx: AlgebraContext, b, t):

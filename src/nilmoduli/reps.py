@@ -211,12 +211,16 @@ def random_regular_tuple(ctx: AlgebraContext, seed: int,
                          point=None) -> NilTuple:
     """Deterministic regular tuple: multiplication matrices of the ideal of
     a random small-height moduli point, conjugated by a random unimodular
-    integer matrix (over F_p, a random product of transvections)."""
-    from .moduli import ideal_from_point, random_point
+    integer matrix (over F_p, a random product of transvections).  With m
+    the last nonzero covector index, the coset basis of the ideal is 1,
+    x_m, ..., x_m^(n-1), so they are the f_j(J) of the point on chart m."""
+    from .moduli import _multiplication, _series, random_point, transition_map
     rng = random.Random(seed)
     if point is None:
         point = random_point(ctx, rng)
-    base = multiplication_matrices(ideal_from_point(point))
+    m = max(j for j, cj in enumerate(point.c, 1) if cj)
+    base = NilTuple(ctx, [_multiplication(ctx.field, f)
+                          for f in _series(transition_map(point, m))])
     g = _random_unimodular(ctx, rng)
     return conjugate(base, g)
 

@@ -2,14 +2,14 @@ from itertools import chain, product
 
 import pytest
 
-from nilmoduli import (QQ, InputInvariantError, ModuliPoint, NilPolynomial,
-                       NilTuple, PrimeField, apply_automorphism, base_point,
-                       associated_graded, evaluate,
+from nilmoduli import (QQ, Ideal, InputInvariantError, ModuliPoint,
+                       NilPolynomial, NilTuple, PrimeField, apply_automorphism,
+                       base_point, associated_graded, evaluate,
                        fiber_add, fiber_coordinates, fiber_scale,
                        ideal_from_generators, ideal_from_span, invert,
                        lift_linear, linear_polynomial, make_context,
                        transition_map)
-from nilmoduli.linalg import mat_inv, nullspace, transpose
+from nilmoduli.linalg import RowSpace, mat_inv, nullspace, transpose
 
 
 def shift_matrix(field, n, power=1):
@@ -106,6 +106,72 @@ def sum_entries(row, v):
 def scalar_mat_vec(a, v):
     """The oracle for linalg.mat_vec, on field scalars."""
     return [sum_entries(row, v) for row in a]
+
+
+def gauss_jordan_inverse(field, a):
+    """Inverse of a square matrix by its own Gauss-Jordan loop on [A | I],
+    or None if singular: the oracle for linalg.mat_inv through RowSpace."""
+    n = len(a)
+    aug = [list(a[i]) + [field.one if j == i else field.zero for j in range(n)]
+           for i in range(n)]
+    for i in range(n):
+        r = next((r for r in range(i, n) if aug[r][i]), None)
+        if r is None:
+            return None
+        aug[i], aug[r] = aug[r], aug[i]
+        lead = aug[i][i]
+        if lead != field.one:
+            aug[i] = [c / lead for c in aug[i]]
+        for r2 in range(n):
+            if r2 != i and aug[r2][i]:
+                c = aug[r2][i]
+                aug[r2] = [x - c * y for x, y in zip(aug[r2], aug[i])]
+    return [row[n:] for row in aug]
+
+
+def _monomial_multiple(ctx, vec, mono_idx):
+    """Coefficient vector of (monomial at mono_idx) * (poly with vector
+    vec), walking the shift chain of the monomial for every term; None
+    when the product truncates to zero."""
+    exp = ctx.monomials[mono_idx]
+    out = [ctx.field.zero] * ctx.dim
+    hit = False
+    for idx, c in enumerate(vec):
+        if not c:
+            continue
+        tgt = idx
+        for i, k in enumerate(exp):
+            for _ in range(k):
+                if tgt is not None:
+                    tgt = ctx.shift[i][tgt]
+        if tgt is not None:
+            out[tgt] = out[tgt] + c
+            hit = True
+    return out if hit else None
+
+
+def monomial_multiple_ideal(ctx, gens):
+    """The ideal generated by gens as the span of every monomial multiple
+    m * g with |m| <= n - 1: the oracle for the closure worklist of
+    ideal_from_generators."""
+    gens = list(gens)
+    sp = RowSpace(ctx.field, ctx.dim)
+    for g in gens:
+        base = g.to_vector()
+        for mono in range(ctx.dim):
+            vec = _monomial_multiple(ctx, base, mono)
+            if vec is not None:
+                sp.insert(vec)
+    return Ideal(ctx, sp.basis(), sp.pivots, gens)
+
+
+def row_image_ideal(sigma, ideal):
+    """sigma(I) as the span of sigma of every basis row, the oracle for
+    apply_automorphism's route through the generators; the generators are
+    moved too."""
+    vecs = [sigma(p).to_vector() for p in ideal.basis_polynomials()]
+    return ideal_from_span(ideal.ctx, vecs,
+                           generators=[sigma(g) for g in ideal.generators])
 
 
 def coset_moduli_point(ideal):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from nilmoduli import QQ, NilPolynomial, NilTuple, PrimeField, make_context, moduli
-from nilmoduli.cli import main
+from nilmoduli.cli import build_parser, main
 from nilmoduli.serialize import tuple_to_json, dumps
 
 from conftest import shift_matrix
@@ -145,6 +145,23 @@ def test_sample_deterministic(capsys):
     code2, out2, _ = run(capsys, "sample", "--seed", "4")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_cached_parser_keeps_no_flags_between_calls(capsys):
+    assert build_parser() is build_parser()
+    fresh = {}
+    for argv in (["census", "2", "3", "3"], ["sample"]):
+        build_parser.cache_clear()
+        fresh[argv[0]] = run(capsys, *argv)
+    # a matching --field is accepted, and must not count as given next time
+    assert run(capsys, "--field", "Fp:3", "census", "2", "3", "3")[0] == 0
+    assert run(capsys, "--field", "Fp:5", "census", "2", "3", "3")[0] == 2
+    assert run(capsys, "census", "2", "3", "3") == fresh["census"]
+    # --json, --q, --n and --seed do not stick either
+    assert '"schema"' in run(capsys, "--json", "--q", "3", "--n", "4",
+                             "--seed", "9", "sample")[1]
+    assert run(capsys, "sample") == fresh["sample"]
+    assert '"schema"' not in fresh["sample"][1]  # text mode
 
 
 def test_act_plain_and_twisted(capsys, tmp_path):

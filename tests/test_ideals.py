@@ -1,16 +1,22 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from nilmoduli import (NilPolynomial, PrimeField, apply_automorphism,
+from nilmoduli import (QQ, Ideal, InternalCheckError, NilPolynomial,
+                       PrimeField, annihilator, apply_automorphism,
                        associated_graded, automorphism_from_images, base_ideal,
-                       ideal_from_generators, is_arr, is_linear_ideal,
-                       lift_linear, make_context, power_of_max_ideal,
-                       regular_parameter, truncate, zero_ideal)
+                       brute_force_ideals, ideal_from_generators,
+                       ideal_from_point, is_arr, is_linear_ideal, lift_linear,
+                       linear_polynomial, make_context, power_of_max_ideal,
+                       random_point, random_regular_tuple, regular_parameter,
+                       truncate, zero_ideal)
 from nilmoduli.ideals import ideal_from_span
+from nilmoduli.linalg import mat_inv
 
-from conftest import x
+from conftest import monomial_multiple_ideal, row_image_ideal, x
 from test_algebra import rand_poly
 
 
@@ -283,3 +289,145 @@ def test_linear_ideal_disagrees_with_arr_in_three_variables():
     assert ideal.colength == 3
     assert is_linear_ideal(ideal)
     assert not is_arr(ideal)
+
+
+# --- the closure step against the monomial-multiple and row-image oracles ---
+
+CLOSURE_FIELDS = [QQ, PrimeField(2), PrimeField(7)]
+CLOSURE_SHAPES = [(2, 3), (2, 4), (3, 3), (3, 4)]
+
+
+def scalars(field):
+    if field == QQ:  # non-integral rationals
+        return st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    return st.integers(0, field.p - 1).map(field.scalar)
+
+
+@st.composite
+def contexts(draw):
+    q, n = draw(st.sampled_from(CLOSURE_SHAPES))
+    return make_context(q, n, draw(st.sampled_from(CLOSURE_FIELDS)))
+
+
+@st.composite
+def polys(draw, ctx, lo, hi=None):
+    """A polynomial supported on degrees lo..hi (default n - 1)."""
+    hi = ctx.n - 1 if hi is None else hi
+    monos = [e for e in ctx.monomials if lo <= sum(e) <= hi]
+    terms = draw(st.lists(st.tuples(st.sampled_from(monos), scalars(ctx.field)),
+                          max_size=4))
+    return NilPolynomial(ctx, dict(terms))
+
+
+@st.composite
+def generator_lists(draw, ctx):
+    """Zero polynomials, units, repeats, top-degree elements (every multiple
+    truncates) and sparse elements of the maximal ideal."""
+    gens = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "unit", "repeat", "top", "sparse"]))
+        if kind == "repeat" and gens:
+            gens.append(draw(st.sampled_from(gens)))
+        elif kind == "zero":
+            gens.append(NilPolynomial.zero(ctx))
+        elif kind == "unit":
+            c = draw(scalars(ctx.field).filter(bool))
+            gens.append(NilPolynomial.one(ctx).scale(c) + draw(polys(ctx, 1)))
+        else:
+            gens.append(draw(polys(ctx, ctx.n - 1 if kind == "top" else 1)))
+    return gens
+
+
+@st.composite
+def automorphisms(draw, ctx):
+    """A linear automorphism, or one with higher-degree terms added."""
+    q = ctx.q
+    mat = draw(st.lists(st.lists(scalars(ctx.field), min_size=q, max_size=q),
+                        min_size=q, max_size=q))
+    assume(mat_inv(ctx.field, mat) is not None)
+    if not draw(st.booleans()):
+        return lift_linear(ctx, mat)
+    return automorphism_from_images(
+        ctx, [linear_polynomial(ctx, row) + draw(polys(ctx, 2)) for row in mat])
+
+
+def same_ideal(got, want):
+    assert (got.rows, got.pivots, got.generators) == \
+        (want.rows, want.pivots, want.generators)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_closure_matches_monomial_multiples(data):
+    ctx = data.draw(contexts())
+    gens = data.draw(generator_lists(ctx))
+    ideal = ideal_from_generators(ctx, gens)
+    same_ideal(ideal, monomial_multiple_ideal(ctx, gens))
+    ideal.verify_closure()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_moving_generators_matches_moving_rows(data):
+    ctx = data.draw(contexts())
+    kind = data.draw(st.sampled_from(["generated", "annihilator", "point"]))
+    if kind == "generated":
+        ideal = ideal_from_generators(ctx, data.draw(generator_lists(ctx)))
+    elif kind == "annihilator":  # generators are the basis rows
+        ideal = annihilator(random_regular_tuple(ctx, data.draw(st.integers(0, 50))))
+    else:
+        rng = random.Random(data.draw(st.integers(0, 50)))
+        ideal = ideal_from_point(random_point(ctx, rng))
+    sigma = data.draw(automorphisms(ctx))
+    same_ideal(apply_automorphism(sigma, ideal), row_image_ideal(sigma, ideal))
+
+
+@cache
+def census_ideals(q, n, p):
+    return brute_force_ideals(q, n, p)[1]
+
+
+@pytest.mark.parametrize("q,n,p", [(2, 3, 2), (2, 4, 2), (3, 3, 2), (3, 4, 2),
+                                   (2, 3, 7)])
+def test_census_ideals_move_like_their_rows(q, n, p):
+    # census ideals keep their basis rows as generators
+    ctx = make_context(q, n, PrimeField(p))
+    f = ctx.field.scalar
+    linear = lift_linear(ctx, [[f(1 if i == j else 3 if j == i + 1 else 0)
+                                for j in range(q)] for i in range(q)])
+    tame = automorphism_from_images(
+        ctx, [x(ctx, 1) + x(ctx, q) ** 2] + [x(ctx, i) + x(ctx, 1) * x(ctx, i - 1)
+                                             for i in range(2, q + 1)])
+    for ideal in census_ideals(q, n, p):
+        for sigma in (linear, tame):
+            same_ideal(apply_automorphism(sigma, ideal), row_image_ideal(sigma, ideal))
+
+
+def test_verify_closure_rejects_an_open_span(ctx34):
+    # x1 alone spans no ideal: x1^2 is outside the span
+    with pytest.raises(InternalCheckError, match="multiplication by x1"):
+        ideal_from_span(ctx34, [x(ctx34, 1).to_vector()]).verify_closure()
+    # the monomials in x1, x2 alone are closed under x1 and x2, not x3
+    no_x3 = [NilPolynomial.monomial(ctx34, e).to_vector()
+             for e in ctx34.monomials if sum(e) and not e[2]]
+    with pytest.raises(InternalCheckError, match="multiplication by x3"):
+        ideal_from_span(ctx34, no_x3).verify_closure()
+    # x1 moves every row but the last inside the span, x1 * x2^2 leaves it
+    late = [x(ctx34, 1), x(ctx34, 1) ** 2, x(ctx34, 1) ** 3, x(ctx34, 2) ** 2]
+    with pytest.raises(InternalCheckError, match="multiplication by x1"):
+        ideal_from_span(ctx34, [f.to_vector() for f in late]).verify_closure()
+
+
+def test_apply_automorphism_rejects_short_generators(ctx34):
+    q1 = base_ideal(ctx34)  # generated by x2 and x3
+    sigma = lift_linear(ctx34, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    short = Ideal(ctx34, q1.rows, q1.pivots, q1.generators[:1])
+    with pytest.raises(InternalCheckError, match="do not generate"):
+        apply_automorphism(sigma, short)
+    with pytest.raises(InternalCheckError, match="do not generate"):
+        apply_automorphism(sigma, Ideal(ctx34, q1.rows, q1.pivots, ()))
+    # (x1, x3) has the rank of (x2, x3) but is another ideal
+    other = Ideal(ctx34, q1.rows, q1.pivots, [x(ctx34, 1), x(ctx34, 3)])
+    with pytest.raises(InternalCheckError, match="do not generate"):
+        apply_automorphism(sigma, other)
+    assert apply_automorphism(sigma, q1) == row_image_ideal(sigma, q1)

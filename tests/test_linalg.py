@@ -8,7 +8,7 @@ from nilmoduli import ContextMismatch, PrimeField, QQ
 from nilmoduli.linalg import (RowSpace, identity_matrix, mat_eq, mat_inv,
                               mat_mul, mat_vec, nullspace)
 
-from conftest import scalar_mat_mul, scalar_mat_vec
+from conftest import gauss_jordan_inverse, scalar_mat_mul, scalar_mat_vec
 
 
 def rref(field, rows):
@@ -126,6 +126,29 @@ def test_int_products_equal_scalar_loops(ops):
     assert [type(c) for row in got for c in row] == [type(c) for row in want for c in row]
     assert mat_vec(a, v) == scalar_mat_vec(a, v)
     assert mat_vec(b, w) == scalar_mat_vec(b, w)
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n for n = 1..7 over Q, F_2 or F_7; one row is sometimes a
+    combination of the others, so singular matrices come up often."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 7))
+    a = draw(matrix(field, n, n))
+    if n > 1 and draw(st.booleans()):
+        c = draw(scalars(field))
+        a[-1] = [x + c * y for x, y in zip(a[0], a[1])]
+    return field, a
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_inverse_equals_gauss_jordan(case):
+    field, a = case
+    got = mat_inv(field, a)
+    assert got == gauss_jordan_inverse(field, a)
+    if got is not None:
+        assert mat_eq(mat_mul(a, got), identity_matrix(field, len(a)))
 
 
 def test_rational_products_keep_lowest_terms():

@@ -20,7 +20,7 @@ from nilmoduli import (QQ, P1Element, PrimeField, annihilator,
 from nilmoduli.linalg import mat_mul
 from nilmoduli.moduli import _gamma_from_fiber
 
-from conftest import chart_section, shift_matrix, x
+from conftest import chart_section, gauss_jordan_inverse, shift_matrix, x
 from test_ideals import random_arr_ideal
 
 
@@ -239,6 +239,21 @@ def test_closed_action_moves_the_ideal(case):
     ctx, p, b = case
     moved = apply_automorphism(lift_linear(ctx, p.matrix), normal_form_ideal(ctx, b))
     assert normal_form_ideal(ctx, p1_action_closed(ctx, p, b)) == moved
+
+
+@settings(max_examples=60, deadline=None)
+@given(p1_and_fiber())
+def test_weight_action_is_the_entrywise_formula(case):
+    # b'[k][j] = sum_i L^-1[k][i] b[i][j] * p11^j, L the lower block; n = 2
+    # and q = 1 give empty fibers
+    ctx, p, b = case
+    got = p1_weight_action(ctx, p, b)
+    inv = gauss_jordan_inverse(ctx.field, p.lower_block()) if ctx.q > 1 else []
+    want = tuple(tuple(sum((inv[k][i] * b[i][j - 2] for i in range(ctx.q - 1)),
+                           ctx.field.zero) * p.p11 ** j for j in range(2, ctx.n))
+                 for k in range(ctx.q - 1))
+    assert got == want
+    assert got == p1_action_twisted(ctx, p, b, 0)
 
 
 def test_twisted_action_endpoints(ctx24):

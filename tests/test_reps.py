@@ -8,11 +8,13 @@ from nilmoduli import (QQ, InputInvariantError, NilTuple, PrimeField,
                        annihilator, apply_automorphism, base_ideal,
                        automorphism_from_images, conjugate, evaluate,
                        express_in_cyclic,
-                       ideal_from_generators, invert, is_cyclic, is_regular,
+                       ideal_from_generators, ideal_from_point, invert,
+                       is_cyclic, is_regular,
                        make_context, moduli_point, multiplication_matrices,
-                       power_of_max_ideal, random_regular_tuple,
-                       recover_conjugator)
+                       power_of_max_ideal, random_point,
+                       random_regular_tuple, recover_conjugator)
 from nilmoduli.linalg import identity_matrix, mat_eq, mat_inv, mat_mul
+from nilmoduli.reps import _random_unimodular
 
 from conftest import (e_matrix, grid_witness, scalar_mat_mul, shift_matrix,
                       two_pass_annihilator, x)
@@ -300,6 +302,22 @@ def test_conjugate_to_canonical_model(ctx23, jj2):
 
 def test_random_regular_tuple_deterministic(ctx24):
     assert random_regular_tuple(ctx24, 3) == random_regular_tuple(ctx24, 3)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(7)],
+                         ids=str)
+def test_random_tuple_reads_the_point_on_its_last_chart(field):
+    # oracle: the multiplication matrices of the point's dim-sized ideal,
+    # conjugated by the same unimodular matrix
+    for q in range(1, 6):
+        for n in range(2, 7):
+            ctx = make_context(q, n, field)
+            for seed in range(4):
+                rng = random.Random(seed)
+                point = random_point(ctx, rng)
+                want = conjugate(multiplication_matrices(ideal_from_point(point)),
+                                 _random_unimodular(ctx, rng))
+                assert random_regular_tuple(ctx, seed) == want
 
 
 def test_equal_points_conjugate_distinct_points_not(ctx24):
