@@ -4,8 +4,8 @@ The library computes, over Q or F_p with exact arithmetic throughout:
 
 * the truncated polynomial algebra on q generators with n-th power zero,
   its automorphism group and the filtration by linearly trivial maps;
-* ideals as canonical echelon subspaces, with colength, membership,
-  sums/products/intersections, associated graded and truncation;
+* ideals as their quotients (staircase and normal forms), with colength,
+  membership, sums/products/intersections, associated graded, truncation;
 * commuting nilpotent tuples, their annihilator ideals, cyclic bases and
   explicit simultaneous conjugators;
 * moduli coordinates (base covector on projective space plus fiber

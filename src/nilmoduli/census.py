@@ -22,9 +22,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import islice, product
 
-from .algebra import BudgetExceeded, NilPolynomial, make_context
+from .algebra import BudgetExceeded, make_context
 from .fields import PrimeField
-from .ideals import Ideal, base_point, is_arr
+from .ideals import base_point, ideal_from_staircase, is_arr
 from .linalg import nullspace
 from .moduli import ModuliPoint, moduli_point
 
@@ -105,13 +105,10 @@ def brute_force_ideals(q: int, n: int, p: int,
                                      for t in range(n)] for u, j in pos.items()}}
 
         def walk(rest):
-            """Fill the rows of the pivots in rest, largest first, and yield
-            the row tuple of every ideal."""
+            """Fill the rows of the pivots in rest, largest first; yield each ideal."""
             nonlocal work
             if not rest:
-                yield tuple(tuple(tails[m][pos[c]] if c in pos else
-                                  field.one if c == m else field.zero
-                                  for c in range(dim)) for m in pivots)
+                yield ideal_from_staircase(ctx, stair, tails)
                 return
             m, j0 = rest[0], bisect_right(stair, rest[0])
             # x_i * row reduces to zero, as [A | b] (a, 1) = 0 over the
@@ -142,11 +139,8 @@ def brute_force_ideals(q: int, n: int, p: int,
 
         # pivots past the last staircase monomial have no entries to fill
         found += walk([m for m in reversed(pivots) if m < stair[-1]])
-    found.sort(key=lambda rows: [[c.val for c in r] for r in rows])
-    ideals = [Ideal(ctx, rows, [r.index(field.one) for r in rows],
-                    [NilPolynomial.from_vector(ctx, r) for r in rows])
-              for rows in found]
-    return len(ideals), ideals
+    found.sort(key=lambda ideal: [[c.val for c in r] for r in ideal.rows])
+    return len(found), found
 
 
 def stratify_by_graded(ideals) -> dict:

@@ -116,27 +116,28 @@ def cmd_classify(args) -> int:
     cyclic = reps.is_cyclic(t)
     regular, _ = reps.is_regular(t)
     ideal = reps.annihilator(t)
-    doc = {"command": "classify", "cyclic": cyclic, "regular": regular,
-           "annihilator": serialize.ideal_to_json(ideal)}
-    lines = [f"cyclic:  {'yes' if cyclic else 'no'}",
-             f"regular: {'yes' if regular else 'no'}",
-             f"annihilator colength: {ideal.colength}"]
-    if not cyclic:
-        doc["error"] = (f"tuple is not cyclic: annihilator colength "
-                        f"{ideal.colength} != {t.ctx.n}")
-        _emit(args, doc, "\n".join(lines + ["not cyclic: rejected"]))
-        return EXIT_INVARIANT
-    if not args.as_json:
-        lines += [f"  {g}" for g in ideal.basis_polynomials()]
-    if regular:
-        point = moduli.moduli_point(ideal)
-        doc["moduli_point"] = serialize.point_to_json(point)
-        lines.append(f"moduli point: {point}")
+    point = moduli.moduli_point(ideal) if cyclic and regular else None
+    if args.as_json:  # only the document holds the dense rref
+        doc = {"command": "classify", "cyclic": cyclic, "regular": regular,
+               "annihilator": serialize.ideal_to_json(ideal)}
+        if not cyclic:
+            doc["error"] = (f"tuple is not cyclic: annihilator colength "
+                            f"{ideal.colength} != {t.ctx.n}")
+        else:
+            doc["moduli_point"] = serialize.point_to_json(point) if point else None
+        _emit(args, doc, "")
     else:
-        doc["moduli_point"] = None
-        lines.append("cyclic, not regular: ideal printed, no moduli point")
-    _emit(args, doc, "\n".join(lines))
-    return EXIT_OK
+        lines = [f"cyclic:  {'yes' if cyclic else 'no'}",
+                 f"regular: {'yes' if regular else 'no'}",
+                 f"annihilator colength: {ideal.colength}"]
+        if not cyclic:
+            lines.append("not cyclic: rejected")
+        else:
+            lines += [f"  {g}" for g in ideal.basis_polynomials()]
+            lines.append(f"moduli point: {point}" if point else
+                         "cyclic, not regular: ideal printed, no moduli point")
+        _emit(args, None, "\n".join(lines))
+    return EXIT_OK if cyclic else EXIT_INVARIANT
 
 
 def cmd_compare(args) -> int:

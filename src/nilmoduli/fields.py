@@ -128,14 +128,8 @@ class RationalField:
 
     name: str = "Q"
     p = 0  # the characteristic: integer encodings are never reduced
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)  # scalars are immutable, so one object serves
+    one = Fraction(1)
 
     def scalar(self, v):
         """Coerce an int, Fraction or string like '3' / '-2/5' to a scalar."""
@@ -176,18 +170,13 @@ class PrimeField:
     def __post_init__(self):
         if not is_prime(self.p):
             raise InputInvariantError(f"modulus {self.p} is not prime")
+        # set once, not dataclass fields: equality and hash stay on p
+        object.__setattr__(self, "zero", Fp(0, self.p))
+        object.__setattr__(self, "one", Fp(1, self.p))
 
     @property
     def name(self) -> str:
         return f"Fp:{self.p}"
-
-    @property
-    def zero(self):
-        return Fp(0, self.p)
-
-    @property
-    def one(self):
-        return Fp(1, self.p)
 
     def scalar(self, v):
         if isinstance(v, Fp):

@@ -1,15 +1,15 @@
-"""Ideals of the truncated algebra as canonical linear subspaces.
+"""Ideals of the truncated algebra, stored as their quotients.
 
-An ideal is stored as the reduced row echelon basis of its coefficient
-span over the ordered monomial basis, together with the generators it
-was built from.  RREF is unique for the fixed monomial order, so ideal
-equality is literal equality of basis matrices.
-
-Every constructor keeps the generator invariant: the stored generators
-generate the ideal.  An ideal is its generators closed under x_1..x_q,
-and one multiplication step, _times, builds ideals (ideal_from_generators),
-moves them (apply_automorphism maps only the generators) and checks them
-(Ideal.verify_closure).
+An ideal I is fixed by A/I.  The monomials that are not pivots of the
+reduced row echelon basis of I form its staircase, a basis of A/I, and
+each pivot m has a tail: its RREF row on the staircase columns.  A row is
+zero on the other pivot columns, so it is its pivot plus its tail, and an
+ideal is stored as staircase, tails and the generators it was built from.
+Normal forms (-tail for a pivot, a unit vector on the staircase) give
+reduction, membership and the multiplication matrices of A/I; the dense
+rows are derived on demand, for JSON output and the test oracles.  The
+stored generators always generate the ideal: apply_automorphism maps
+only them, and ideal_from_generators closes them under x_1..x_q.
 
 Because the monomial order is graded, multiplication by a generator
 moves every basis column strictly to the right.  Two structural
@@ -22,62 +22,96 @@ from __future__ import annotations
 
 from .algebra import (AlgebraContext, NilPolynomial, Automorphism,
                       InternalCheckError, make_context)
-from .linalg import RowSpace, int_dots, nullspace, transpose
+from .linalg import RowSpace, int_dots, transpose
 
 
 class Ideal:
-    """An ideal as the RREF rows of its span (pivots are their leading
-    columns) and generators that generate it; apply_automorphism moves
-    only the generators, so a direct Ideal(...) must keep that true."""
+    """An ideal as its staircase (the sorted non-pivot monomials, a basis
+    of A/I), the tails {pivot: RREF row on the staircase columns} in pivot
+    order, and generators that generate it; apply_automorphism moves only
+    the generators, so a direct Ideal(...) must keep that true."""
 
-    __slots__ = ("ctx", "rows", "pivots", "generators")
+    __slots__ = ("ctx", "stair", "tails", "generators")
 
-    def __init__(self, ctx: AlgebraContext, rows, pivots, generators):
+    def __init__(self, ctx: AlgebraContext, stair, tails, generators):
         self.ctx = ctx
-        self.rows = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(pivots)
+        self.stair = tuple(stair)
+        self.tails = {m: tuple(tails[m]) for m in sorted(tails)}
         self.generators = tuple(generators)
 
     # --- basic data ------------------------------------------------------
     @property
+    def pivots(self) -> tuple:
+        return tuple(self.tails)
+
+    @property
+    def rows(self) -> tuple:
+        """The dense RREF rows: a zero row with the pivot's 1 and its tail."""
+        field, out = self.ctx.field, []
+        for m, tail in self.tails.items():
+            row = [field.zero] * self.ctx.dim
+            row[m] = field.one
+            for s, t in zip(self.stair, tail):
+                row[s] = t
+            out.append(tuple(row))
+        return tuple(out)
+
+    @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.tails)
 
     @property
     def colength(self) -> int:
-        return self.ctx.dim - self.rank
+        return len(self.stair)
 
     def basis_polynomials(self) -> list[NilPolynomial]:
-        return [NilPolynomial.from_vector(self.ctx, r) for r in self.rows]
+        """The RREF rows as polynomials: each pivot plus its tail."""
+        ms, one = self.ctx.monomials, self.ctx.field.one
+        return [NilPolynomial(self.ctx, {ms[m]: one, **{ms[s]: t for s, t in
+                                                         zip(self.stair, tail)}})
+                for m, tail in self.tails.items()]
 
     def complement_monomials(self) -> list[int]:
-        """Indices of the non-pivot monomials, the canonical coset basis of
-        the quotient algebra, in monomial order."""
-        pivset = set(self.pivots)
-        return [i for i in range(self.ctx.dim) if i not in pivset]
+        return list(self.stair)
 
-    def _space(self) -> RowSpace:
-        """A RowSpace that shares the basis rows, for reading only."""
-        sp = RowSpace(self.ctx.field, self.ctx.dim)
-        sp.rows, sp.pivots = self.rows, self.pivots
-        return sp
+    def coset(self, m) -> list:
+        """Coordinates on the staircase of the class of the monomial of
+        index m: -tail for a pivot, the unit vector for a staircase
+        monomial, zero for None (a truncated monomial)."""
+        tail = self.tails.get(m)
+        if tail is not None:
+            return [-t for t in tail]
+        field = self.ctx.field
+        return [field.one if s == m else field.zero for s in self.stair]
 
     def reduce(self, f: NilPolynomial) -> NilPolynomial:
-        """Canonical representative of f modulo the ideal (supported on the
-        complement monomials)."""
-        self.ctx.check_same(f.ctx)
-        return NilPolynomial.from_vector(self.ctx, self._space().reduce(f.to_vector()))
+        """Canonical representative of f modulo the ideal: the sum of the
+        classes of its terms, supported on the staircase."""
+        ctx = self.ctx
+        ctx.check_same(f.ctx)
+        nf = [ctx.field.zero] * len(self.stair)
+        for e, c in f.terms.items():
+            for j, v in enumerate(self.coset(ctx.index[e])):
+                if v:
+                    nf[j] = nf[j] + c * v
+        return NilPolynomial(ctx, {ctx.monomials[s]: v for s, v in zip(self.stair, nf)})
 
     def contains(self, f: NilPolynomial) -> bool:
         return self.reduce(f).is_zero()
 
+    def matrices(self) -> list:
+        """Multiplication by x_1..x_q on A/I in the staircase basis: column
+        s of the i-th matrix is the class of x_i times s."""
+        return [transpose([self.coset(shift[s]) for s in self.stair])
+                for shift in self.ctx.shift]
+
     def verify_closure(self) -> None:
         """Check x_i * row stays in the span for every variable and row."""
-        sp = self._space()
-        for i in range(self.ctx.q):
-            if not all(sp.contains(_times(self.ctx, i, row)) for row in self.rows):
+        for i in range(1, self.ctx.q + 1):
+            xi = NilPolynomial.variable(self.ctx, i)
+            if not all(self.contains(xi * f) for f in self.basis_polynomials()):
                 raise InternalCheckError(
-                    f"span is not closed under multiplication by x{i+1}")
+                    f"span is not closed under multiplication by x{i}")
 
     # --- subspace calculus ------------------------------------------------
     def sum(self, other: "Ideal") -> "Ideal":
@@ -96,27 +130,41 @@ class Ideal:
         return ideal_from_generators(self.ctx, gens)
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """Intersection via stacked complements: each row space is cut out
-        by its complement functionals, so the intersection is the null
-        space of the two functional stacks together."""
+        """The kernel of A -> A/I + A/J: the orbit kernel of the class of 1
+        under the block-diagonal multiplication matrices."""
         self.ctx.check_same(other.ctx)
-        field, dim = self.ctx.field, self.ctx.dim
-        funcs = (nullspace(field, [list(r) for r in self.rows], dim)
-                 + nullspace(field, [list(r) for r in other.rows], dim))
-        return ideal_from_span(self.ctx, nullspace(field, funcs, dim))
+        zero, a, b = self.ctx.field.zero, self.colength, other.colength
+        mats = [[[*row, *[zero] * b] for row in mi] + [[*[zero] * a, *row] for row in mj]
+                for mi, mj in zip(self.matrices(), other.matrices())]
+        return orbit_ideal(self.ctx, mats, [self.coset(0) + other.coset(0)])
 
     def __eq__(self, other):
         return (isinstance(other, Ideal) and self.ctx.same(other.ctx)
-                and self.rows == other.rows)
+                and self.stair == other.stair and self.tails == other.tails)
 
     def __hash__(self):
-        return hash((self.ctx.q, self.ctx.n, self.rows))
+        return hash((self.ctx.q, self.ctx.n, self.stair, tuple(self.tails.values())))
 
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.generators[:4])
         more = ", ..." if len(self.generators) > 4 else ""
         return (f"Ideal(colength={self.colength}, rank={self.rank}, "
                 f"generators=[{gens}{more}])")
+
+
+def ideal_from_staircase(ctx: AlgebraContext, stair, tails, generators=None) -> Ideal:
+    """The ideal of a staircase and tails, by default generated by its rows."""
+    ideal = Ideal(ctx, stair, tails, generators or ())
+    if generators is None:
+        ideal.generators = tuple(ideal.basis_polynomials())
+    return ideal
+
+
+def _from_space(ctx: AlgebraContext, sp: RowSpace, generators) -> Ideal:
+    """The ideal of a closed RowSpace: its non-pivots are the staircase."""
+    stair = sorted(set(range(ctx.dim)).difference(sp.pivots))
+    tails = {p: [row[s] for s in stair] for p, row in zip(sp.pivots, sp.rows)}
+    return ideal_from_staircase(ctx, stair, tails, generators)
 
 
 def _times(ctx: AlgebraContext, i: int, vec) -> list:
@@ -142,7 +190,7 @@ def ideal_from_generators(ctx: AlgebraContext, gens) -> Ideal:
         vec = todo.pop()
         if sp.insert(vec):
             todo.extend(_times(ctx, i, vec) for i in range(ctx.q))
-    return Ideal(ctx, sp.basis(), sp.pivots, gens)
+    return _from_space(ctx, sp, gens)
 
 
 def ideal_from_span(ctx: AlgebraContext, vectors, generators=None) -> Ideal:
@@ -151,56 +199,40 @@ def ideal_from_span(ctx: AlgebraContext, vectors, generators=None) -> Ideal:
     generators."""
     sp = RowSpace(ctx.field, ctx.dim)
     sp.extend(vectors)
-    gens = (list(generators) if generators is not None
-            else [NilPolynomial.from_vector(ctx, r) for r in sp.basis()])
-    return Ideal(ctx, sp.basis(), sp.pivots, gens)
+    return _from_space(ctx, sp, generators)
 
 
 def orbit_ideal(ctx: AlgebraContext, mats, vecs) -> Ideal:
     """The ideal of all f with f(N) w = 0 for every w in vecs, where N is a
-    q-tuple of commuting n x n matrices; generators are its basis rows.
+    q-tuple of commuting matrices; generators are its basis rows.
 
-    The images m(N) w are built in monomial order, each one matrix-vector
-    product N_i (m'(N) w) with m = x_i m' earlier in the graded order.
-    Their null space is eliminated with the columns in reverse monomial
-    order, so each null vector, read back in order, is 1 at its own free
-    column and nonzero only on later pivot columns (the coset basis): it
-    is already a canonical RREF row.  The images are built on the int
-    encodings, each decoded with its exact scale."""
-    field = ctx.field
-    images, scales = [None] * ctx.dim, [None] * ctx.dim
+    The images m(N) w are built in monomial order on the int encodings,
+    each one product N_i (m'(N) w) with m = x_i m' earlier in the graded
+    order.  Eliminated as columns in reverse monomial order, a pivot is a
+    monomial whose image is independent of those of later ones: the pivots,
+    reversed, are the staircase, and a free column m, minus its entries,
+    is the tail of m (the null vector of m read back in order)."""
+    field, dim = ctx.field, ctx.dim
+    images, scales = [None] * dim, [None] * dim
     images[0], scales[0] = field.encode(vecs)
     enc = [field.encode(m) for m in mats]
-    for idx in range(ctx.dim):
+    for idx in range(dim):
         for i, (mat, d) in enumerate(enc):
             tgt = ctx.shift[i][idx]
             if tgt is not None and images[tgt] is None:
                 images[tgt], scales[tgt] = int_dots(images[idx], mat, field.p), scales[idx] * d
     cols = [[c for w in field.decode(img, d) for c in w]
             for img, d in zip(reversed(images), reversed(scales))]
-    rows = [v[::-1] for v in reversed(nullspace(ctx.field, transpose(cols), ctx.dim))]
-    pivots = [next(k for k, c in enumerate(v) if c) for v in rows]
-    return Ideal(ctx, rows, pivots, [NilPolynomial.from_vector(ctx, v) for v in rows])
-
-
-def ideal_coset(ideal: Ideal):
-    """The map from a monomial index (None for a truncated monomial) to
-    the coordinates of its class modulo the ideal on the canonical coset
-    basis (the complement monomials, in monomial order), read off the RREF
-    rows: a pivot monomial is minus its row, any other its unit vector."""
-    comp, field, row_of = (ideal.complement_monomials(), ideal.ctx.field,
-                           dict(zip(ideal.pivots, ideal.rows)))
-
-    def coset(m):
-        row = row_of.get(m)
-        if row is not None:
-            return [-row[j] for j in comp]
-        return [field.one if j == m else field.zero for j in comp]
-    return coset
+    sp = RowSpace(field, dim)
+    sp.extend(transpose(cols))
+    stair = [dim - 1 - p for p in reversed(sp.pivots)]
+    rows, on_stair = sp.rows[::-1], set(stair)
+    return ideal_from_staircase(ctx, stair, {m: [-row[dim - 1 - m] for row in rows]
+                                             for m in range(dim) if m not in on_stair})
 
 
 def zero_ideal(ctx: AlgebraContext) -> Ideal:
-    return Ideal(ctx, (), (), ())
+    return Ideal(ctx, range(ctx.dim), {}, ())
 
 
 def base_ideal(ctx: AlgebraContext) -> Ideal:
@@ -211,16 +243,15 @@ def base_ideal(ctx: AlgebraContext) -> Ideal:
 
 
 def power_of_max_ideal(ctx: AlgebraContext, j: int) -> Ideal:
-    """m^j: the span of all monomials of total degree >= j (0 <= j <= n)."""
+    """m^j: the span of all monomials of total degree >= j (0 <= j <= n);
+    its staircase is the monomials of degree < j, and every tail is zero."""
     if not 0 <= j <= ctx.n:
         raise ValueError(f"power {j} out of range 0..{ctx.n}")
     start = ctx.deg_start[j]
     end = ctx.deg_start[j + 1] if j < ctx.n else start
-    rows = [[ctx.field.zero] * ctx.dim for _ in range(start, ctx.dim)]
-    for idx, row in enumerate(rows, start):
-        row[idx] = ctx.field.one
+    zero = [ctx.field.zero] * start
     gens = [NilPolynomial.monomial(ctx, ctx.monomials[i]) for i in range(start, end)]
-    return Ideal(ctx, rows, list(range(start, ctx.dim)), gens)
+    return Ideal(ctx, range(start), dict.fromkeys(range(start, ctx.dim), zero), gens)
 
 
 def apply_automorphism(sigma: Automorphism, ideal: Ideal) -> Ideal:
@@ -241,18 +272,14 @@ def associated_graded(ideal: Ideal) -> Ideal:
 
     With the graded monomial order, the rows of pivot degree >= d span
     exactly I intersect m^d, so the lowest-degree components of the RREF
-    rows give a basis; the result is closed and colength is preserved.
+    rows give a basis.  Each is its pivot plus the tail entries of the
+    pivot's degree, again an RREF row: the staircase is kept.
     """
     ctx = ideal.ctx
-    vecs = []
-    for row, piv in zip(ideal.rows, ideal.pivots):
-        d = ctx.degree_of_index(piv)
-        lo, hi = ctx.deg_start[d], ctx.deg_start[d + 1]
-        vecs.append([c if lo <= i < hi else ctx.field.zero for i, c in enumerate(row)])
-    out = ideal_from_span(ctx, vecs)
-    if out.rank != ideal.rank:
-        raise InternalCheckError("associated graded changed the colength")
-    return out
+    deg, zero = ctx.degree_of_index, ctx.field.zero
+    tails = {m: [t if deg(s) == deg(m) else zero for s, t in zip(ideal.stair, tail)]
+             for m, tail in ideal.tails.items()}
+    return ideal_from_staircase(ctx, ideal.stair, tails)
 
 
 def truncate(ideal: Ideal, m: int) -> Ideal:
@@ -270,16 +297,11 @@ def truncate(ideal: Ideal, m: int) -> Ideal:
     return ideal_from_span(tgt, vecs, generators=gens)
 
 
-def _hyperplane_rows(ideal: Ideal):
-    """{pivot: degree-1 part} of the rows with a degree-1 pivot.
-
-    The order is graded, so these rows restrict to the RREF basis of the
-    span H of the degree-1 parts of the ideal; every other row is zero in
-    degree 1.  Keys and parts index x_1..x_q from 0."""
-    ctx = ideal.ctx
-    lo, hi = ctx.deg_start[1], ctx.deg_start[2]
-    return {p - lo: row[lo:hi] for row, p in zip(ideal.rows, ideal.pivots)
-            if lo <= p < hi}
+def _linear_stair(ideal: Ideal) -> list[int]:
+    """Staircase positions of the variables on it; the degree-1 parts of
+    the ideal span a space H of dimension q minus their number."""
+    lo, hi = ideal.ctx.deg_start[1], ideal.ctx.deg_start[2]
+    return [j for j, s in enumerate(ideal.stair) if lo <= s < hi]
 
 
 def base_point(ideal: Ideal):
@@ -287,34 +309,32 @@ def base_point(ideal: Ideal):
     of the ideal: c spans the annihilator of H, and the chart is the
     index of its first nonzero entry, on which c is normalized to 1.
     Fails unless H is a hyperplane, which for a colength-n ideal is
-    exactly the regular-annihilator condition (see is_arr)."""
+    exactly the regular-annihilator condition (see is_arr).
+
+    With x_f the variable on the staircase, c_f = 1 and c_i = -(the tail
+    of x_i at x_f): x_i + tail lies in the ideal, so H is c-orthogonal."""
     ctx = ideal.ctx
-    field = ctx.field
-    rows = _hyperplane_rows(ideal)
-    if len(rows) != ctx.q - 1:
+    free = _linear_stair(ideal)
+    if len(free) != 1:
         raise ValueError(
-            f"degree-1 span has dimension {len(rows)}, expected {ctx.q - 1}")
-    free = next(j for j in range(ctx.q) if j not in rows)
-    c = [field.zero] * ctx.q
-    c[free] = field.one
-    for j, part in rows.items():
-        c[j] = -part[free]
+            f"degree-1 span has dimension {ctx.q - len(free)}, expected {ctx.q - 1}")
+    c = [-ideal.tails[m][free[0]] if m in ideal.tails else ctx.field.one
+         for m in range(ctx.deg_start[1], ctx.deg_start[2])]
     k = next(i for i, v in enumerate(c) if v)
-    lead = c[k]
-    return k + 1, tuple(v / lead for v in c)
+    return k + 1, tuple(v / c[k] for v in c)
 
 
 def is_arr(ideal: Ideal) -> bool:
     """True iff the ideal annihilates a regular tuple: it has colength n
-    and the degree-1 parts of its elements span a hyperplane H.
+    and exactly one variable lies on its staircase, i.e. the degree-1
+    parts of its elements span a hyperplane H.
 
     By Nakayama, H being a hyperplane means the maximal ideal of A/I is
     generated by one linear form u, so A/I = k[u]/u^n.  If H is smaller,
     the maximal ideal of A/I needs two generators, and every u^(n-1)
     lies in the ideal; H = everything forces colength <= 1.
     """
-    ctx = ideal.ctx
-    return ideal.colength == ctx.n and len(_hyperplane_rows(ideal)) == ctx.q - 1
+    return ideal.colength == ideal.ctx.n and len(_linear_stair(ideal)) == 1
 
 
 def regular_parameter(ideal: Ideal):
@@ -337,7 +357,6 @@ def is_linear_ideal(ideal: Ideal) -> bool:
     nonzero linear part.  Kept separate from is_arr on purpose: the two
     predicates agree for colength-n ideals in two variables but diverge
     for q >= 3 (see tests)."""
-    ctx = ideal.ctx
-    if any(ctx.degree_of_index(p) == 0 for p in ideal.pivots):
+    if 0 not in ideal.stair:
         return False  # contains a unit: the whole algebra
-    return any(ctx.degree_of_index(p) == 1 for p in ideal.pivots)
+    return len(_linear_stair(ideal)) < ideal.ctx.q

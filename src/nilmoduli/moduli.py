@@ -36,8 +36,7 @@ from .algebra import (AlgebraContext, NilPolynomial, AlgebraMap, Automorphism,
                       invert, is_linearly_trivial, linear_polynomial)
 from .fields import InputInvariantError, PrimeField, QQ
 from .ideals import (Ideal, ideal_from_generators, apply_automorphism,
-                     base_ideal, base_point, ideal_coset, orbit_ideal,
-                     power_of_max_ideal)
+                     base_ideal, base_point, orbit_ideal, power_of_max_ideal)
 from .reps import NilTuple, _krylov_frame, _regular_index
 from . import linalg
 
@@ -185,7 +184,7 @@ def moduli_point(ideal: Ideal) -> ModuliPoint:
     ctx = ideal.ctx
     if ideal.colength != ctx.n:
         raise ValueError(f"colength {ideal.colength} != {ctx.n}")
-    coset = ideal_coset(ideal)
+    coset = ideal.coset
     powers = [ctx.index[tuple(d if i == k - 1 else 0 for i in range(ctx.q))]
               for d in range(ctx.n)]
     frame = linalg.transpose([coset(m) for m in powers])
@@ -229,7 +228,7 @@ def ideal_from_point(point: ModuliPoint) -> Ideal:
     kernel = orbit_ideal(ctx, [_multiplication(ctx.field, f) for f in _series(point)], [one])
     gens = [NilPolynomial.variable(ctx, j) - f
             for j, f in enumerate(_series_in_chart(point), 1) if j != point.chart]
-    return Ideal(ctx, kernel.rows, kernel.pivots, gens)
+    return Ideal(ctx, kernel.stair, kernel.tails, gens)
 
 
 def normal_form_ideal(ctx: AlgebraContext, b) -> Ideal:

@@ -5,7 +5,7 @@ field; evaluating polynomials on it realizes the corresponding algebra
 representation.  The annihilator ideal is a complete invariant for
 simultaneous conjugation of regular tuples, and the functions here move
 back and forth between tuples and ideals: annihilator, multiplication
-matrices on the canonical coset basis, and explicit conjugators.
+matrices on the staircase basis, and explicit conjugators.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import reduce
 
 from .algebra import AlgebraContext, NilPolynomial, InternalCheckError
 from .fields import InputInvariantError, PrimeField
-from .ideals import Ideal, ideal_coset, is_arr, orbit_ideal
+from .ideals import Ideal, is_arr, orbit_ideal
 from . import linalg
 
 
@@ -130,7 +130,7 @@ def annihilator(t: NilTuple) -> Ideal:
 
 
 def multiplication_matrices(ideal: Ideal, require_arr: bool = False) -> NilTuple:
-    """The regular representation of A/I on the canonical coset basis (the
+    """The regular representation of A/I on the staircase basis (the
     non-pivot monomials in monomial order), for a colength-n ideal.  The
     annihilator of the result is the input ideal."""
     ctx = ideal.ctx
@@ -138,10 +138,7 @@ def multiplication_matrices(ideal: Ideal, require_arr: bool = False) -> NilTuple
         raise ValueError(f"colength {ideal.colength} != n = {ctx.n}")
     if require_arr and not is_arr(ideal):
         raise ValueError("ideal does not annihilate a regular tuple")
-    coset, comp = ideal_coset(ideal), ideal.complement_monomials()
-    # column m of N_i is the class of x_i times the monomial m (zero if truncated)
-    return NilTuple(ctx, [linalg.transpose([coset(shift[m]) for m in comp])
-                          for shift in ctx.shift])
+    return NilTuple(ctx, ideal.matrices())
 
 
 def _krylov_frame(t: NilTuple, i: int):

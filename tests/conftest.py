@@ -2,7 +2,7 @@ from itertools import chain, product
 
 import pytest
 
-from nilmoduli import (QQ, Ideal, InputInvariantError, ModuliPoint,
+from nilmoduli import (QQ, InputInvariantError, ModuliPoint,
                        NilPolynomial, NilTuple, PrimeField, apply_automorphism,
                        base_point, associated_graded, evaluate,
                        fiber_add, fiber_coordinates, fiber_scale,
@@ -150,11 +150,9 @@ def _monomial_multiple(ctx, vec, mono_idx):
     return out if hit else None
 
 
-def monomial_multiple_ideal(ctx, gens):
-    """The ideal generated by gens as the span of every monomial multiple
-    m * g with |m| <= n - 1: the oracle for the closure worklist of
-    ideal_from_generators."""
-    gens = list(gens)
+def monomial_multiple_space(ctx, gens):
+    """The dense RowSpace of every monomial multiple m * g, |m| <= n - 1,
+    of the given generators."""
     sp = RowSpace(ctx.field, ctx.dim)
     for g in gens:
         base = g.to_vector()
@@ -162,7 +160,60 @@ def monomial_multiple_ideal(ctx, gens):
             vec = _monomial_multiple(ctx, base, mono)
             if vec is not None:
                 sp.insert(vec)
-    return Ideal(ctx, sp.basis(), sp.pivots, gens)
+    return sp
+
+
+def monomial_multiple_ideal(ctx, gens):
+    """The ideal generated by gens as the span of every monomial multiple:
+    the oracle for the closure worklist of ideal_from_generators."""
+    gens = list(gens)
+    return ideal_from_span(ctx, monomial_multiple_space(ctx, gens).basis(), gens)
+
+
+def nullspace_intersect(i, j):
+    """I cap J through stacked complements, the oracle for the orbit kernel
+    of Ideal.intersect: each row space is cut out by its complement
+    functionals, so the intersection is the null space of both stacks."""
+    field, dim = i.ctx.field, i.ctx.dim
+    funcs = (nullspace(field, [list(r) for r in i.rows], dim)
+             + nullspace(field, [list(r) for r in j.rows], dim))
+    return ideal_from_span(i.ctx, nullspace(field, funcs, dim))
+
+
+def hyperplane_rows(ideal):
+    """{pivot: degree-1 part} of the dense rows with a degree-1 pivot, keys
+    and parts indexing x_1..x_q from 0: the RREF of the span H of the
+    degree-1 parts of the ideal."""
+    ctx = ideal.ctx
+    lo, hi = ctx.deg_start[1], ctx.deg_start[2]
+    return {p - lo: row[lo:hi] for row, p in zip(ideal.rows, ideal.pivots)
+            if lo <= p < hi}
+
+
+def hyperplane_is_arr(ideal):
+    """is_arr read off the dense rows, the oracle for the staircase test:
+    colength n and q - 1 rows with a degree-1 pivot."""
+    return (ideal.colength == ideal.ctx.n
+            and len(hyperplane_rows(ideal)) == ideal.ctx.q - 1)
+
+
+def hyperplane_base_point(ideal):
+    """base_point read off the dense rows, the oracle for the reading of
+    the tails: the covector spanning the annihilator of H, normalized at
+    its first nonzero entry; ValueError unless H is a hyperplane."""
+    ctx = ideal.ctx
+    field = ctx.field
+    rows = hyperplane_rows(ideal)
+    if len(rows) != ctx.q - 1:
+        raise ValueError(
+            f"degree-1 span has dimension {len(rows)}, expected {ctx.q - 1}")
+    free = next(j for j in range(ctx.q) if j not in rows)
+    c = [field.zero] * ctx.q
+    c[free] = field.one
+    for j, part in rows.items():
+        c[j] = -part[free]
+    k = next(i for i, v in enumerate(c) if v)
+    return k + 1, tuple(v / c[k] for v in c)
 
 
 def row_image_ideal(sigma, ideal):

@@ -70,6 +70,18 @@ def test_staircase_walk_matches_blind_sweep(q, n, p):
                for a, b in zip(ideals, oracle))
 
 
+@pytest.mark.parametrize("q,p,count", [(2, 2, 7), (3, 2, 35), (4, 2, 155),
+                                       (2, 3, 13), (3, 3, 130), (2, 5, 31)])
+def test_colength_three_count_is_curvilinear_plus_grassmannian(q, p, count):
+    # a colength-3 ideal is curvilinear, a point of M_{q,3}: [q]_p p^(q-1)
+    # of them; or it contains m^2 and cuts a codimension-2 space out of the
+    # linear forms: #Gr(2, q)(F_p) of them
+    qp = (p ** q - 1) // (p - 1)
+    grassmannian = (p ** q - 1) * (p ** q - p) // ((p ** 2 - 1) * (p ** 2 - p))
+    assert qp * p ** (q - 1) + grassmannian == count
+    assert brute_force_ideals(q, 3, p)[0] == count
+
+
 def _partitions(n, largest=None):
     largest = n if largest is None else largest
     if n == 0:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from nilmoduli import QQ, NilPolynomial, NilTuple, PrimeField, make_context, moduli
+from nilmoduli import (QQ, Ideal, NilPolynomial, NilTuple, PrimeField, make_context,
+                       moduli)
 from nilmoduli.cli import build_parser, main
 from nilmoduli.serialize import tuple_to_json, dumps
 
@@ -54,6 +55,29 @@ def test_json_classify_prints_no_polynomials(capsys, jj2_file, monkeypatch):
     assert json.loads(out)["moduli_point"]["b"] == [["1"]]
     with pytest.raises(Printed):  # the text listing does print them
         main(["classify", jj2_file])
+
+
+def test_text_classify_builds_no_dense_rows(capsys, tmp_path, jj2_file, monkeypatch):
+    """Text classify never derives the dense rref, on any of its branches;
+    --json does, for the document."""
+    class Dense(Exception):
+        pass
+
+    def refuse(self):
+        raise Dense
+    f = make_context(2, 3).field
+    e21, e31, zero = ([[f.zero] * 3 for _ in range(3)] for _ in range(3))
+    e21[1][0] = e31[2][0] = f.one
+    write_tuple(tmp_path / "cnr.json", 2, 3, [e21, e31])
+    write_tuple(tmp_path / "zero.json", 2, 3, [zero, zero])
+    monkeypatch.setattr(Ideal, "rows", property(refuse))
+    for path, code, tail in ((jj2_file, 0, "moduli point: "),
+                             (tmp_path / "cnr.json", 0, "no moduli point"),
+                             (tmp_path / "zero.json", 3, "not cyclic: rejected")):
+        got, out, _ = run(capsys, "classify", str(path))
+        assert got == code and tail in out.splitlines()[-1]
+    with pytest.raises(Dense):
+        main(["--json", "classify", jj2_file])
 
 
 def test_classify_shift_only(capsys, tmp_path, ctx23):

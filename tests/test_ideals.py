@@ -421,13 +421,13 @@ def test_verify_closure_rejects_an_open_span(ctx34):
 def test_apply_automorphism_rejects_short_generators(ctx34):
     q1 = base_ideal(ctx34)  # generated by x2 and x3
     sigma = lift_linear(ctx34, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    short = Ideal(ctx34, q1.rows, q1.pivots, q1.generators[:1])
+    short = Ideal(ctx34, q1.stair, q1.tails, q1.generators[:1])
     with pytest.raises(InternalCheckError, match="do not generate"):
         apply_automorphism(sigma, short)
     with pytest.raises(InternalCheckError, match="do not generate"):
-        apply_automorphism(sigma, Ideal(ctx34, q1.rows, q1.pivots, ()))
+        apply_automorphism(sigma, Ideal(ctx34, q1.stair, q1.tails, ()))
     # (x1, x3) has the rank of (x2, x3) but is another ideal
-    other = Ideal(ctx34, q1.rows, q1.pivots, [x(ctx34, 1), x(ctx34, 3)])
+    other = Ideal(ctx34, q1.stair, q1.tails, [x(ctx34, 1), x(ctx34, 3)])
     with pytest.raises(InternalCheckError, match="do not generate"):
         apply_automorphism(sigma, other)
     assert apply_automorphism(sigma, q1) == row_image_ideal(sigma, q1)
