@@ -24,7 +24,7 @@ from itertools import islice, product
 
 from .algebra import BudgetExceeded, make_context
 from .fields import PrimeField
-from .ideals import base_point, ideal_from_staircase, is_arr
+from .ideals import Ideal, base_point, is_arr
 from .linalg import nullspace
 from .moduli import ModuliPoint, moduli_point
 
@@ -108,7 +108,7 @@ def brute_force_ideals(q: int, n: int, p: int,
             """Fill the rows of the pivots in rest, largest first; yield each ideal."""
             nonlocal work
             if not rest:
-                yield ideal_from_staircase(ctx, stair, tails)
+                yield Ideal(ctx, stair, tails)
                 return
             m, j0 = rest[0], bisect_right(stair, rest[0])
             # x_i * row reduces to zero, as [A | b] (a, 1) = 0 over the
@@ -139,8 +139,16 @@ def brute_force_ideals(q: int, n: int, p: int,
 
         # pivots past the last staircase monomial have no entries to fill
         found += walk([m for m in reversed(pivots) if m < stair[-1]])
-    found.sort(key=lambda ideal: [[c.val for c in r] for r in ideal.rows])
+    found.sort(key=_row_order)
     return len(found), found
+
+
+def _row_order(ideal):
+    """Sort key in the order of the dense rows, read sparsely: per row its
+    nonzero (-column, value) pairs in column order.  Where two rows first
+    differ, a zero sorts before a value, and so does a later column."""
+    return [sorted([(-m, 1), *((-s, t.val) for s, t in zip(ideal.stair, tail) if t)],
+                   reverse=True) for m, tail in ideal.tails.items()]
 
 
 def stratify_by_graded(ideals) -> dict:

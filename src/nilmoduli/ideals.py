@@ -4,12 +4,13 @@ An ideal I is fixed by A/I.  The monomials that are not pivots of the
 reduced row echelon basis of I form its staircase, a basis of A/I, and
 each pivot m has a tail: its RREF row on the staircase columns.  A row is
 zero on the other pivot columns, so it is its pivot plus its tail, and an
-ideal is stored as staircase, tails and the generators it was built from.
-Normal forms (-tail for a pivot, a unit vector on the staircase) give
-reduction, membership and the multiplication matrices of A/I; the dense
-rows are derived on demand, for JSON output and the test oracles.  The
-stored generators always generate the ideal: apply_automorphism maps
-only them, and ideal_from_generators closes them under x_1..x_q.
+ideal is stored as staircase and tails, nothing else.  Normal forms (-tail
+for a pivot, a unit vector on the staircase) give reduction, membership
+and the multiplication matrices of A/I; the dense rows are derived on
+demand, for JSON output and the test oracles.  Generators are derived
+too: the rows of the corners of the staircase, the minimal pivots.
+apply_automorphism moves them, and ideal_from_generators closes any
+generators under x_1..x_q.
 
 Because the monomial order is graded, multiplication by a generator
 moves every basis column strictly to the right.  Two structural
@@ -27,17 +28,15 @@ from .linalg import RowSpace, int_dots, transpose
 
 class Ideal:
     """An ideal as its staircase (the sorted non-pivot monomials, a basis
-    of A/I), the tails {pivot: RREF row on the staircase columns} in pivot
-    order, and generators that generate it; apply_automorphism moves only
-    the generators, so a direct Ideal(...) must keep that true."""
+    of A/I) and the tails {pivot: RREF row on the staircase columns} in
+    pivot order."""
 
-    __slots__ = ("ctx", "stair", "tails", "generators")
+    __slots__ = ("ctx", "stair", "tails")
 
-    def __init__(self, ctx: AlgebraContext, stair, tails, generators):
+    def __init__(self, ctx: AlgebraContext, stair, tails):
         self.ctx = ctx
         self.stair = tuple(stair)
         self.tails = {m: tuple(tails[m]) for m in sorted(tails)}
-        self.generators = tuple(generators)
 
     # --- basic data ------------------------------------------------------
     @property
@@ -64,15 +63,25 @@ class Ideal:
     def colength(self) -> int:
         return len(self.stair)
 
+    def _row(self, m, tail) -> NilPolynomial:
+        ms = self.ctx.monomials
+        return NilPolynomial(self.ctx, {ms[m]: self.ctx.field.one,
+                                        **{ms[s]: t for s, t in zip(self.stair, tail)}})
+
     def basis_polynomials(self) -> list[NilPolynomial]:
         """The RREF rows as polynomials: each pivot plus its tail."""
-        ms, one = self.ctx.monomials, self.ctx.field.one
-        return [NilPolynomial(self.ctx, {ms[m]: one, **{ms[s]: t for s, t in
-                                                         zip(self.stair, tail)}})
-                for m, tail in self.tails.items()]
+        return [self._row(m, tail) for m, tail in self.tails.items()]
 
-    def complement_monomials(self) -> list[int]:
-        return list(self.stair)
+    @property
+    def generators(self) -> tuple:
+        """The rows of the corners: the pivots m with every m / x_i on the
+        staircase, i.e. no x_i times a pivot.  In the graded order the pivot
+        of u * row is u * pivot, and every pivot is a monomial times a
+        corner, so the corner rows generate an ideal with every pivot of I:
+        I itself."""
+        moved = {shift[p] for shift in self.ctx.shift for p in self.tails}
+        return tuple(self._row(m, tail) for m, tail in self.tails.items()
+                     if m not in moved)
 
     def coset(self, m) -> list:
         """Coordinates on the staircase of the class of the monomial of
@@ -116,13 +125,12 @@ class Ideal:
     # --- subspace calculus ------------------------------------------------
     def sum(self, other: "Ideal") -> "Ideal":
         self.ctx.check_same(other.ctx)
-        return ideal_from_span(self.ctx, self.rows + other.rows,
-                               self.generators + other.generators)
+        return ideal_from_span(self.ctx, self.rows + other.rows)
 
     def product(self, other: "Ideal") -> "Ideal":
         """The ideal spanned by pairwise products.
 
-        Generated by the pairwise products of the two generator lists,
+        Generated by the pairwise products of the two corner-row lists,
         which span the same ideal as products of basis vectors.
         """
         self.ctx.check_same(other.ctx)
@@ -146,25 +154,17 @@ class Ideal:
         return hash((self.ctx.q, self.ctx.n, self.stair, tuple(self.tails.values())))
 
     def __repr__(self):
-        gens = ", ".join(repr(g) for g in self.generators[:4])
-        more = ", ..." if len(self.generators) > 4 else ""
+        gens = self.generators
+        more = ", ..." if len(gens) > 4 else ""
         return (f"Ideal(colength={self.colength}, rank={self.rank}, "
-                f"generators=[{gens}{more}])")
+                f"corner_rows=[{', '.join(map(repr, gens[:4]))}{more}])")
 
 
-def ideal_from_staircase(ctx: AlgebraContext, stair, tails, generators=None) -> Ideal:
-    """The ideal of a staircase and tails, by default generated by its rows."""
-    ideal = Ideal(ctx, stair, tails, generators or ())
-    if generators is None:
-        ideal.generators = tuple(ideal.basis_polynomials())
-    return ideal
-
-
-def _from_space(ctx: AlgebraContext, sp: RowSpace, generators) -> Ideal:
+def _from_space(ctx: AlgebraContext, sp: RowSpace) -> Ideal:
     """The ideal of a closed RowSpace: its non-pivots are the staircase."""
     stair = sorted(set(range(ctx.dim)).difference(sp.pivots))
     tails = {p: [row[s] for s in stair] for p, row in zip(sp.pivots, sp.rows)}
-    return ideal_from_staircase(ctx, stair, tails, generators)
+    return Ideal(ctx, stair, tails)
 
 
 def _times(ctx: AlgebraContext, i: int, vec) -> list:
@@ -190,21 +190,21 @@ def ideal_from_generators(ctx: AlgebraContext, gens) -> Ideal:
         vec = todo.pop()
         if sp.insert(vec):
             todo.extend(_times(ctx, i, vec) for i in range(ctx.q))
-    return _from_space(ctx, sp, gens)
+    return _from_space(ctx, sp)
 
 
-def ideal_from_span(ctx: AlgebraContext, vectors, generators=None) -> Ideal:
+def ideal_from_span(ctx: AlgebraContext, vectors) -> Ideal:
     """Ideal whose underlying subspace is spanned by the given coefficient
     vectors.  The span must already be closed under multiplication by the
     generators."""
     sp = RowSpace(ctx.field, ctx.dim)
     sp.extend(vectors)
-    return _from_space(ctx, sp, generators)
+    return _from_space(ctx, sp)
 
 
 def orbit_ideal(ctx: AlgebraContext, mats, vecs) -> Ideal:
     """The ideal of all f with f(N) w = 0 for every w in vecs, where N is a
-    q-tuple of commuting matrices; generators are its basis rows.
+    q-tuple of commuting matrices.
 
     The images m(N) w are built in monomial order on the int encodings,
     each one product N_i (m'(N) w) with m = x_i m' earlier in the graded
@@ -227,19 +227,21 @@ def orbit_ideal(ctx: AlgebraContext, mats, vecs) -> Ideal:
     sp.extend(transpose(cols))
     stair = [dim - 1 - p for p in reversed(sp.pivots)]
     rows, on_stair = sp.rows[::-1], set(stair)
-    return ideal_from_staircase(ctx, stair, {m: [-row[dim - 1 - m] for row in rows]
-                                             for m in range(dim) if m not in on_stair})
+    return Ideal(ctx, stair, {m: [-row[dim - 1 - m] for row in rows]
+                              for m in range(dim) if m not in on_stair})
 
 
 def zero_ideal(ctx: AlgebraContext) -> Ideal:
-    return Ideal(ctx, range(ctx.dim), {}, ())
+    return Ideal(ctx, range(ctx.dim), {})
 
 
 def base_ideal(ctx: AlgebraContext) -> Ideal:
     """The ideal generated by x_2, ..., x_q (zero ideal when q = 1); its
-    quotient is the one-variable truncated algebra, so its colength is n."""
-    gens = [NilPolynomial.variable(ctx, i) for i in range(2, ctx.q + 1)]
-    return ideal_from_generators(ctx, gens)
+    quotient is the one-variable truncated algebra: its staircase is 1,
+    x_1, ..., x_1^(n-1), and every tail is zero."""
+    stair = [ctx.index[(d,) + (0,) * (ctx.q - 1)] for d in range(ctx.n)]
+    zero = [ctx.field.zero] * ctx.n
+    return Ideal(ctx, stair, dict.fromkeys(set(range(ctx.dim)).difference(stair), zero))
 
 
 def power_of_max_ideal(ctx: AlgebraContext, j: int) -> Ideal:
@@ -248,23 +250,14 @@ def power_of_max_ideal(ctx: AlgebraContext, j: int) -> Ideal:
     if not 0 <= j <= ctx.n:
         raise ValueError(f"power {j} out of range 0..{ctx.n}")
     start = ctx.deg_start[j]
-    end = ctx.deg_start[j + 1] if j < ctx.n else start
     zero = [ctx.field.zero] * start
-    gens = [NilPolynomial.monomial(ctx, ctx.monomials[i]) for i in range(start, end)]
-    return Ideal(ctx, range(start), dict.fromkeys(range(start, ctx.dim), zero), gens)
+    return Ideal(ctx, range(start), dict.fromkeys(range(start, ctx.dim), zero))
 
 
 def apply_automorphism(sigma: Automorphism, ideal: Ideal) -> Ideal:
-    """Image ideal sigma(I), generated by the images of I's generators.
-    sigma is a bijection, so the stored generators generate I exactly when
-    they lie in I and their images generate an ideal of I's rank."""
+    """Image ideal sigma(I), generated by the images of I's corner rows."""
     sigma.ctx.check_same(ideal.ctx)
-    out = ideal_from_generators(ideal.ctx, [sigma(g) for g in ideal.generators])
-    if out.rank != ideal.rank or not all(map(ideal.contains, ideal.generators)):
-        raise InternalCheckError(
-            f"the generators of the ideal do not generate it: they move to "
-            f"rank {out.rank}, the ideal has rank {ideal.rank}")
-    return out
+    return ideal_from_generators(ideal.ctx, [sigma(g) for g in ideal.generators])
 
 
 def associated_graded(ideal: Ideal) -> Ideal:
@@ -279,7 +272,7 @@ def associated_graded(ideal: Ideal) -> Ideal:
     deg, zero = ctx.degree_of_index, ctx.field.zero
     tails = {m: [t if deg(s) == deg(m) else zero for s, t in zip(ideal.stair, tail)]
              for m, tail in ideal.tails.items()}
-    return ideal_from_staircase(ctx, ideal.stair, tails)
+    return Ideal(ctx, ideal.stair, tails)
 
 
 def truncate(ideal: Ideal, m: int) -> Ideal:
@@ -293,8 +286,7 @@ def truncate(ideal: Ideal, m: int) -> Ideal:
     def cut(f):
         return NilPolynomial(tgt, {e: c for e, c in f.terms.items() if sum(e) < m})
     vecs = [cut(f).to_vector() for f in ideal.basis_polynomials()]
-    gens = [g for g in map(cut, ideal.generators) if not g.is_zero()]
-    return ideal_from_span(tgt, vecs, generators=gens)
+    return ideal_from_span(tgt, vecs)
 
 
 def _linear_stair(ideal: Ideal) -> list[int]:

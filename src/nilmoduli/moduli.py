@@ -225,10 +225,7 @@ def ideal_from_point(point: ModuliPoint) -> Ideal:
     1 in k[u]/u^n, generated by x_j - f_j(x_chart) for j != chart."""
     ctx = point.ctx
     one = [ctx.field.one] + [ctx.field.zero] * (ctx.n - 1)
-    kernel = orbit_ideal(ctx, [_multiplication(ctx.field, f) for f in _series(point)], [one])
-    gens = [NilPolynomial.variable(ctx, j) - f
-            for j, f in enumerate(_series_in_chart(point), 1) if j != point.chart]
-    return Ideal(ctx, kernel.stair, kernel.tails, gens)
+    return orbit_ideal(ctx, [_multiplication(ctx.field, f) for f in _series(point)], [one])
 
 
 def normal_form_ideal(ctx: AlgebraContext, b) -> Ideal:
@@ -489,7 +486,7 @@ def embed_from_two_variables(ideal: Ideal, q_target: int) -> Ideal:
     ctx = make_context(q_target, ctx2.n, ctx2.field)
     pad = (0,) * (q_target - 2)
     gens = [NilPolynomial(ctx, {e + pad: c for e, c in p.terms.items()})
-            for p in ideal.basis_polynomials()]
+            for p in ideal.generators]
     x2 = NilPolynomial.variable(ctx, 2)
     for j in range(3, q_target + 1):
         gens.append(NilPolynomial.variable(ctx, j) - x2)

@@ -52,7 +52,7 @@ def poly_from_json(ctx: AlgebraContext, doc) -> NilPolynomial:
 def ideal_to_json(ideal: Ideal) -> dict:
     fmt = ideal.ctx.field.format
     return {"context": context_to_json(ideal.ctx),
-            "generators": [poly_to_json(g) for g in ideal.generators],
+            "generators": [poly_to_json(g) for g in ideal.basis_polynomials()],
             "rref": [[fmt(c) for c in row] for row in ideal.rows],
             "colength": ideal.colength}
 

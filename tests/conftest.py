@@ -166,8 +166,7 @@ def monomial_multiple_space(ctx, gens):
 def monomial_multiple_ideal(ctx, gens):
     """The ideal generated by gens as the span of every monomial multiple:
     the oracle for the closure worklist of ideal_from_generators."""
-    gens = list(gens)
-    return ideal_from_span(ctx, monomial_multiple_space(ctx, gens).basis(), gens)
+    return ideal_from_span(ctx, monomial_multiple_space(ctx, gens).basis())
 
 
 def nullspace_intersect(i, j):
@@ -218,11 +217,9 @@ def hyperplane_base_point(ideal):
 
 def row_image_ideal(sigma, ideal):
     """sigma(I) as the span of sigma of every basis row, the oracle for
-    apply_automorphism's route through the generators; the generators are
-    moved too."""
+    apply_automorphism's route through the corner rows."""
     vecs = [sigma(p).to_vector() for p in ideal.basis_polynomials()]
-    return ideal_from_span(ideal.ctx, vecs,
-                           generators=[sigma(g) for g in ideal.generators])
+    return ideal_from_span(ideal.ctx, vecs)
 
 
 def coset_moduli_point(ideal):
@@ -230,7 +227,7 @@ def coset_moduli_point(ideal):
     classes off the RREF rows: the classes of the powers x_k^d and of the
     x_j modulo the ideal, then one inverse of the frame."""
     k, _ = base_point(ideal)
-    ctx, comp = ideal.ctx, ideal.complement_monomials()
+    ctx, comp = ideal.ctx, ideal.stair
 
     def coset(f):
         red = ideal.reduce(f).to_vector()

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from conftest import blind_echelon_sweep, graded_strata_oracle
+from nilmoduli import census
 from nilmoduli import (BudgetExceeded, CensusReport, base_ideal, base_point,
                        brute_force_ideals, enumerate_moduli_points,
                        ideal_from_point, is_arr, is_linear_ideal, make_context,
@@ -70,6 +73,19 @@ def test_staircase_walk_matches_blind_sweep(q, n, p):
                for a, b in zip(ideals, oracle))
 
 
+@pytest.mark.parametrize("q,n,p", [(2, 3, 7), (2, 4, 2), (2, 4, 3), (2, 5, 2),
+                                   (3, 3, 2), (3, 4, 2), (2, 6, 2), (3, 3, 3)])
+def test_census_order_is_the_dense_row_order(q, n, p):
+    # the sparse key sorts like the dense rows; shuffled first, so that a
+    # stable sort cannot keep the walk's order by accident
+    _, ideals = brute_force_ideals(q, n, p)
+    shuffled = ideals[:]
+    random.Random(q * 100 + n * 10 + p).shuffle(shuffled)
+    assert shuffled != ideals
+    dense = sorted(shuffled, key=lambda i: [[c.val for c in r] for r in i.rows])
+    assert sorted(shuffled, key=census._row_order) == dense == ideals
+
+
 @pytest.mark.parametrize("q,p,count", [(2, 2, 7), (3, 2, 35), (4, 2, 155),
                                        (2, 3, 13), (3, 3, 130), (2, 5, 31)])
 def test_colength_three_count_is_curvilinear_plus_grassmannian(q, p, count):
@@ -101,7 +117,7 @@ def test_plane_count_is_partition_sum(n, p):
     parts = list(_partitions(n))
     assert count == sum(p ** (n - len(lam)) for lam in parts)
     # every staircase carries its monomial ideal, so each partition shows
-    assert len({tuple(i.complement_monomials()) for i in ideals}) == len(parts)
+    assert len({i.stair for i in ideals}) == len(parts)
 
 
 @pytest.mark.parametrize("q,n,p", [(3, 4, 2), (2, 7, 2), (4, 3, 2)])
@@ -121,7 +137,7 @@ def test_regular_ideals_sit_on_line_staircases(q, n, p):
     _, ideals = brute_force_ideals(q, n, p)
     parts: dict = {}
     for ideal in ideals:
-        m = lines.get(tuple(ideal.complement_monomials()))
+        m = lines.get(ideal.stair)
         assert (m is not None) == is_arr(ideal)
         if m is not None:
             parts[m] = parts.get(m, 0) + 1
