@@ -9,8 +9,8 @@ for a pivot, a unit vector on the staircase) give reduction, membership
 and the multiplication matrices of A/I; the dense rows are derived on
 demand, for JSON output and the test oracles.  Generators are derived
 too: the rows of the corners of the staircase, the minimal pivots.
-apply_automorphism moves them, and ideal_from_generators closes any
-generators under x_1..x_q.
+ideal_from_generators closes any generators under x_1..x_q, and
+apply_automorphism moves an ideal as an orbit kernel on its quotient.
 
 Because the monomial order is graded, multiplication by a generator
 moves every basis column strictly to the right.  Two structural
@@ -93,9 +93,8 @@ class Ideal:
         field = self.ctx.field
         return [field.one if s == m else field.zero for s in self.stair]
 
-    def reduce(self, f: NilPolynomial) -> NilPolynomial:
-        """Canonical representative of f modulo the ideal: the sum of the
-        classes of its terms, supported on the staircase."""
+    def normal_form(self, f: NilPolynomial) -> list:
+        """The class of f on the staircase: the sum of its terms' classes."""
         ctx = self.ctx
         ctx.check_same(f.ctx)
         nf = [ctx.field.zero] * len(self.stair)
@@ -103,10 +102,15 @@ class Ideal:
             for j, v in enumerate(self.coset(ctx.index[e])):
                 if v:
                     nf[j] = nf[j] + c * v
-        return NilPolynomial(ctx, {ctx.monomials[s]: v for s, v in zip(self.stair, nf)})
+        return nf
+
+    def reduce(self, f: NilPolynomial) -> NilPolynomial:
+        """Canonical representative of f modulo the ideal."""
+        ms, nf = self.ctx.monomials, self.normal_form(f)
+        return NilPolynomial(self.ctx, {ms[s]: v for s, v in zip(self.stair, nf)})
 
     def contains(self, f: NilPolynomial) -> bool:
-        return self.reduce(f).is_zero()
+        return not any(self.normal_form(f))
 
     def matrices(self) -> list:
         """Multiplication by x_1..x_q on A/I in the staircase basis: column
@@ -202,27 +206,33 @@ def ideal_from_span(ctx: AlgebraContext, vectors) -> Ideal:
     return _from_space(ctx, sp)
 
 
+def _orbit(ctx: AlgebraContext, mats, vecs, monos) -> list:
+    """(int rows, scale) of the images m(N) w, w in vecs, of the order ideal
+    monos in monomial order: each one int product N_i (m'(N) w) with m =
+    x_i m' earlier in the graded order."""
+    field, at = ctx.field, {m: k for k, m in enumerate(monos)}
+    enc = [field.encode(m) for m in mats]
+    images = [field.encode(vecs)] + [None] * (len(monos) - 1)
+    for k, m in enumerate(monos):
+        for i, (mat, d) in enumerate(enc):
+            t = at.get(ctx.shift[i][m])
+            if t is not None and images[t] is None:
+                images[t] = int_dots(images[k][0], mat, field.p), images[k][1] * d
+    return images
+
+
 def orbit_ideal(ctx: AlgebraContext, mats, vecs) -> Ideal:
     """The ideal of all f with f(N) w = 0 for every w in vecs, where N is a
     q-tuple of commuting matrices.
 
-    The images m(N) w are built in monomial order on the int encodings,
-    each one product N_i (m'(N) w) with m = x_i m' earlier in the graded
-    order.  Eliminated as columns in reverse monomial order, a pivot is a
-    monomial whose image is independent of those of later ones: the pivots,
-    reversed, are the staircase, and a free column m, minus its entries,
-    is the tail of m (the null vector of m read back in order)."""
+    The images m(N) w are built in monomial order (_orbit).  Eliminated as
+    columns in reverse monomial order, a pivot is a monomial whose image
+    is independent of those of later ones: the pivots, reversed, are the
+    staircase, and a free column m, minus its entries, is the tail of m
+    (the null vector of m read back in order)."""
     field, dim = ctx.field, ctx.dim
-    images, scales = [None] * dim, [None] * dim
-    images[0], scales[0] = field.encode(vecs)
-    enc = [field.encode(m) for m in mats]
-    for idx in range(dim):
-        for i, (mat, d) in enumerate(enc):
-            tgt = ctx.shift[i][idx]
-            if tgt is not None and images[tgt] is None:
-                images[tgt], scales[tgt] = int_dots(images[idx], mat, field.p), scales[idx] * d
     cols = [[c for w in field.decode(img, d) for c in w]
-            for img, d in zip(reversed(images), reversed(scales))]
+            for img, d in reversed(_orbit(ctx, mats, vecs, range(dim)))]
     sp = RowSpace(field, dim)
     sp.extend(transpose(cols))
     stair = [dim - 1 - p for p in reversed(sp.pivots)]
@@ -255,9 +265,22 @@ def power_of_max_ideal(ctx: AlgebraContext, j: int) -> Ideal:
 
 
 def apply_automorphism(sigma: Automorphism, ideal: Ideal) -> Ideal:
-    """Image ideal sigma(I), generated by the images of I's corner rows."""
-    sigma.ctx.check_same(ideal.ctx)
-    return ideal_from_generators(ideal.ctx, [sigma(g) for g in ideal.generators])
+    """sigma(I), read in A/I of colength c: g is in sigma(I) iff sigma^-1(g)
+    is in I, iff g(N) kills the class of 1, N_j = sigma^-1(x_j)(M) for the
+    matrices M of A/I.  Column s of N_j is s(M) v_j, v_j the class of
+    sigma^-1(x_j), walked over the staircase: O(q c^2 dim + q c^3)."""
+    if not isinstance(ideal, Ideal):
+        raise TypeError(f"ideal must be an Ideal, not {type(ideal).__name__}")
+    if not isinstance(sigma, Automorphism):
+        raise TypeError(f"sigma must be an Automorphism, not {type(sigma).__name__}")
+    ctx, field, stair = ideal.ctx, ideal.ctx.field, ideal.stair
+    sigma.ctx.check_same(ctx)
+    if not stair:  # the whole algebra
+        return ideal
+    vs = [ideal.normal_form(f) for f in sigma.inv.images]
+    cols = [field.decode(img, d) for img, d in _orbit(ctx, ideal.matrices(), vs, stair)]
+    mats = [transpose([col[j] for col in cols]) for j in range(ctx.q)]
+    return orbit_ideal(ctx, mats, [ideal.coset(0)])
 
 
 def associated_graded(ideal: Ideal) -> Ideal:

@@ -341,8 +341,8 @@ def random_p1(ctx: AlgebraContext, rng: random.Random) -> P1Element:
 
 
 def p1_action_bruteforce(ctx: AlgebraContext, p: P1Element, b):
-    """Action on fiber coordinates via the ideal: substitute the linear
-    automorphism of p into the normalized ideal and renormalize."""
+    """Action on fiber coordinates via the ideal: move the normalized ideal
+    (colength n: n x n work) by the linear automorphism of p, renormalize."""
     ideal = normal_form_ideal(ctx, b)
     moved = apply_automorphism(lift_linear(ctx, p.matrix), ideal)
     return fiber_coordinates(moved)
@@ -463,15 +463,13 @@ def linearity_witness(q: int, n: int, chart_from: int, chart_to: int,
 def universal_ideal_specialize(ctx: AlgebraContext, a, b) -> Ideal:
     """Specialize the versal generator family: the ideal generated by
     sum_l a_il x_l - sum_j b_ij (sum_l a_1l x_l)^j for i = 2..q, for an
-    invertible coefficient matrix a.  Always annihilates a regular tuple."""
-    field = ctx.field
-    a = [[field.scalar(v) for v in row] for row in a]
-    if linalg.mat_inv(field, a) is None:
-        raise ValueError("coefficient matrix is singular")
-    images = [linear_polynomial(ctx, row) for row in a]
-    _, *s = _series_in_chart(_standard_point(ctx, b))
-    return ideal_from_generators(ctx, [(NilPolynomial.variable(ctx, i) - f).substitute(images)
-                                       for i, f in enumerate(s, 2)])
+    invertible coefficient matrix a.  Always annihilates a regular tuple.
+    It is the normal-form ideal of b moved by the linear map of a."""
+    try:
+        sigma = lift_linear(ctx, a)
+    except ValueError:
+        raise ValueError("coefficient matrix is singular") from None
+    return apply_automorphism(sigma, normal_form_ideal(ctx, b))
 
 
 def embed_from_two_variables(ideal: Ideal, q_target: int) -> Ideal:

@@ -357,6 +357,11 @@ def test_universal_specialization_random(ctx34):
                 break
         b = random_point(ctx34, rng).b
         ideal = universal_ideal_specialize(ctx34, a, b)
+        # the dense closure of the moved generators x_i - s_i(x_1)
+        sigma, x1 = lift_linear(ctx34, a), x(ctx34, 1)
+        gens = [x(ctx34, i) - sum(((x1 ** j).scale(c) for j, c in enumerate(row, 2)),
+                                  x1 * 0) for i, row in enumerate(b, 2)]
+        assert ideal == ideal_from_generators(ctx34, [sigma(g) for g in gens])
         assert is_arr(ideal)
         assert ideal_from_point(moduli_point(ideal)) == ideal
 

@@ -5,7 +5,9 @@ multiples of its generators: the derived rows and pivots must be that
 RREF, reduction its normal form, the intersection the null space of the
 stacked complements, and regularity the reading of the degree-1 rows.
 The generators are the rows of the corners of the staircase, one per
-corner, and they generate the ideal again.
+corner, and they generate the ideal again.  An ideal moved by an
+automorphism, an orbit kernel on its quotient, is the span of the moved
+echelon rows.
 """
 
 import random
@@ -14,16 +16,19 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilmoduli import (NilPolynomial, PrimeField, annihilator,
-                       associated_graded, base_ideal, base_point,
-                       ideal_from_generators, ideal_from_point, is_arr,
+from nilmoduli import (QQ, ContextMismatch, NilPolynomial, PrimeField,
+                       annihilator, apply_automorphism, associated_graded,
+                       automorphism_from_images, base_ideal, base_point,
+                       compose, ideal_from_generators, ideal_from_point,
+                       invert, is_arr, lift_linear, linear_polynomial,
                        make_context, power_of_max_ideal, random_point,
-                       random_regular_tuple, truncate)
+                       random_regular_tuple, truncate, zero_ideal)
 from nilmoduli.ideals import ideal_from_span
+from nilmoduli.linalg import mat_inv
 
 from conftest import (hyperplane_base_point, hyperplane_is_arr,
                       monomial_multiple_ideal, monomial_multiple_space,
-                      nullspace_intersect)
+                      nullspace_intersect, row_image_ideal, x)
 from test_ideals import (CLOSURE_FIELDS, CLOSURE_SHAPES, census_ideals,
                          contexts, generator_lists, polys, same_ideal, scalars)
 
@@ -165,3 +170,78 @@ def test_sum_product_truncate_close_their_inputs(data):
     tgt = make_context(ctx.q, m, ctx.field)
     cut = [NilPolynomial(tgt, {e: c for e, c in a.terms.items() if sum(e) < m}) for a in g]
     same_ideal(truncate(i, m), monomial_multiple_ideal(tgt, cut))
+
+
+MOVES = ["linear", "tame", "composed", "inverted"]
+
+
+@st.composite
+def moves(draw, ctx, kind):
+    """An automorphism of ctx: linear (lift_linear), tame (linear plus
+    higher-degree terms, automorphism_from_images), or a composite or
+    inverse of those."""
+    if kind == "composed":
+        return compose(draw(moves(ctx, "tame")), draw(moves(ctx, "linear")))
+    if kind == "inverted":
+        return invert(draw(moves(ctx, draw(st.sampled_from(["linear", "tame"])))))
+    q = ctx.q
+    mat = draw(st.lists(st.lists(scalars(ctx.field), min_size=q, max_size=q),
+                        min_size=q, max_size=q).filter(
+                            lambda m: mat_inv(ctx.field, m) is not None))
+    if kind == "linear" or ctx.n == 2:  # at n = 2 every automorphism is linear
+        return lift_linear(ctx, mat)
+    return automorphism_from_images(
+        ctx, [linear_polynomial(ctx, row) + draw(polys(ctx, 2)) for row in mat])
+
+
+def same_move(sigma, ideal):
+    moved = apply_automorphism(sigma, ideal)
+    want = row_image_ideal(sigma, ideal)
+    assert (moved.stair, moved.tails) == (want.stair, want.tails)
+    assert apply_automorphism(invert(sigma), moved) == ideal
+
+
+@pytest.mark.parametrize("field", CLOSURE_FIELDS, ids=str)
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_moved_ideal_is_the_span_of_the_moved_rows(kind, field, data):
+    ctx = make_context(*data.draw(st.sampled_from(CLOSURE_SHAPES)), field)
+    ideal = data.draw(ideals(ctx, [kind]))
+    same_move(data.draw(moves(ideal.ctx, data.draw(st.sampled_from(MOVES)))), ideal)
+
+
+@pytest.mark.parametrize("field", CLOSURE_FIELDS, ids=str)
+@pytest.mark.parametrize("move", MOVES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_extreme_ideals_move_like_their_rows(move, field, data):
+    # colength dim (zero ideal) down to 0 (the whole algebra, m^0)
+    ctx = make_context(*data.draw(st.sampled_from(CLOSURE_SHAPES)), field)
+    sigma = data.draw(moves(ctx, move))
+    for ideal in [zero_ideal(ctx), base_ideal(ctx),
+                  *(power_of_max_ideal(ctx, j) for j in range(ctx.n + 1))]:
+        same_move(sigma, ideal)
+
+
+def test_apply_automorphism_rejects_other_contexts():
+    ctx = make_context(2, 4)
+    ideal = base_ideal(ctx)
+    for other in [make_context(2, 4, PrimeField(7)), make_context(2, 3, QQ),
+                  make_context(3, 4, QQ)]:
+        sigma = lift_linear(other, [[1 if i == j else 0 for j in range(other.q)]
+                                    for i in range(other.q)])
+        with pytest.raises(ContextMismatch):
+            apply_automorphism(sigma, ideal)
+
+
+def test_apply_automorphism_rejects_wrong_types():
+    ctx = make_context(2, 4)
+    sigma = lift_linear(ctx, [[1, 1], [0, 1]])
+    for bad in [None, [], "ideal", x(ctx, 1), base_ideal(ctx).tails]:
+        with pytest.raises(TypeError, match=f"^ideal must be an Ideal, not {type(bad).__name__}$"):
+            apply_automorphism(sigma, bad)
+    # a bare AlgebraMap has no inverse to read the moved quotient with
+    for bad in [None, sigma.fwd, sigma.fwd.images]:
+        with pytest.raises(TypeError, match=f"^sigma must be an Automorphism, not {type(bad).__name__}$"):
+            apply_automorphism(bad, base_ideal(ctx))
