@@ -199,7 +199,8 @@ class PrimeField:
         raise ContextMismatch(f"cannot mix F_{self.p} with other scalars")
 
     def decode(self, rows, d: int):
-        return [[Fp(x, self.p) for x in r] for r in rows]
+        p, zero = self.p, self.zero  # residues are immutable: one zero serves
+        return [[Fp(x, p) if x % p else zero for x in r] for r in rows]
 
     def __str__(self):
         return self.name

@@ -21,6 +21,9 @@ per-row lowest-degree components is exactly the associated graded ideal.
 
 from __future__ import annotations
 
+from math import lcm
+from operator import ge
+
 from .algebra import (AlgebraContext, NilPolynomial, Automorphism,
                       InternalCheckError, make_context)
 from .linalg import RowSpace, int_dots, transpose
@@ -43,17 +46,24 @@ class Ideal:
     def pivots(self) -> tuple:
         return tuple(self.tails)
 
+    def dense_rows(self, zero, one, fmt) -> list:
+        """The dense RREF rows written with zero and one, each a zero row
+        with the pivot's one and its nonzero tail entries through fmt."""
+        out = []
+        for m, tail in self.tails.items():
+            row = [zero] * self.ctx.dim
+            row[m] = one
+            for s, t in zip(self.stair, tail):
+                if t:
+                    row[s] = fmt(t)
+            out.append(row)
+        return out
+
     @property
     def rows(self) -> tuple:
-        """The dense RREF rows: a zero row with the pivot's 1 and its tail."""
-        field, out = self.ctx.field, []
-        for m, tail in self.tails.items():
-            row = [field.zero] * self.ctx.dim
-            row[m] = field.one
-            for s, t in zip(self.stair, tail):
-                row[s] = t
-            out.append(tuple(row))
-        return tuple(out)
+        """The dense RREF rows on field scalars."""
+        field = self.ctx.field
+        return tuple(map(tuple, self.dense_rows(field.zero, field.one, field.scalar)))
 
     @property
     def rank(self) -> int:
@@ -135,11 +145,19 @@ class Ideal:
         """The ideal spanned by pairwise products.
 
         Generated by the pairwise products of the two corner-row lists,
-        which span the same ideal as products of basis vectors.
+        which span the same ideal as products of basis vectors.  Monomial
+        ones (every tail zero) give the multiples of their monomials.
         """
-        self.ctx.check_same(other.ctx)
+        ctx = self.ctx
+        ctx.check_same(other.ctx)
         gens = [g * h for g in self.generators for h in other.generators]
-        return ideal_from_generators(self.ctx, gens)
+        if any(map(any, [*self.tails.values(), *other.tails.values()])):
+            return ideal_from_generators(ctx, gens)
+        prods = [e for g in gens for e in g.terms]  # both monomial
+        piv = [m for m, e in enumerate(ctx.monomials)
+               if any(all(map(ge, e, p)) for p in prods)]
+        stair = sorted(set(range(ctx.dim)).difference(piv))
+        return Ideal(ctx, stair, dict.fromkeys(piv, [ctx.field.zero] * len(stair)))
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """The kernel of A -> A/I + A/J: the orbit kernel of the class of 1
@@ -167,14 +185,15 @@ class Ideal:
 def _from_space(ctx: AlgebraContext, sp: RowSpace) -> Ideal:
     """The ideal of a closed RowSpace: its non-pivots are the staircase."""
     stair = sorted(set(range(ctx.dim)).difference(sp.pivots))
-    tails = {p: [row[s] for s in stair] for p, row in zip(sp.pivots, sp.rows)}
-    return Ideal(ctx, stair, tails)
+    rref, d = sp.scaled_rref()
+    tails = ctx.field.decode([[row[s] for s in stair] for row in rref], d)
+    return Ideal(ctx, stair, dict(zip(sp.pivots, tails)))
 
 
 def _times(ctx: AlgebraContext, i: int, vec) -> list:
-    """x_(i+1) * vec: each monomial moves to its shift.  The move is one to
-    one on the monomials it does not truncate, so nothing accumulates."""
-    out = [ctx.field.zero] * ctx.dim
+    """x_(i+1) * vec on ints: each monomial moves to its shift.  The move is
+    one to one on the monomials it does not truncate, so nothing accumulates."""
+    out = [0] * ctx.dim
     for c, tgt in zip(vec, ctx.shift[i]):
         if tgt is not None:
             out[tgt] = c
@@ -189,10 +208,10 @@ def ideal_from_generators(ctx: AlgebraContext, gens) -> Ideal:
     for g in gens:
         ctx.check_same(g.ctx)
     sp = RowSpace(ctx.field, ctx.dim)
-    todo = [g.to_vector() for g in gens]
+    todo, _ = ctx.field.encode([g.to_vector() for g in gens])
     while todo:
         vec = todo.pop()
-        if sp.insert(vec):
+        if sp.insert_ints(vec):
             todo.extend(_times(ctx, i, vec) for i in range(ctx.q))
     return _from_space(ctx, sp)
 
@@ -231,14 +250,16 @@ def orbit_ideal(ctx: AlgebraContext, mats, vecs) -> Ideal:
     staircase, and a free column m, minus its entries, is the tail of m
     (the null vector of m read back in order)."""
     field, dim = ctx.field, ctx.dim
-    cols = [[c for w in field.decode(img, d) for c in w]
-            for img, d in reversed(_orbit(ctx, mats, vecs, range(dim)))]
-    sp = RowSpace(field, dim)
-    sp.extend(transpose(cols))
+    images = _orbit(ctx, mats, vecs, range(dim))[::-1]
+    # one scale for all: scaling a single column moves the null vectors
+    scale = lcm(*(d for _, d in images))
+    cols = [[c * (scale // d) for w in img for c in w] for img, d in images]
+    sp = RowSpace(field, dim, zip(*cols))
     stair = [dim - 1 - p for p in reversed(sp.pivots)]
-    rows, on_stair = sp.rows[::-1], set(stair)
-    return Ideal(ctx, stair, {m: [-row[dim - 1 - m] for row in rows]
-                              for m in range(dim) if m not in on_stair})
+    (rref, d), on_stair = sp.scaled_rref(), set(stair)
+    free = [m for m in range(dim) if m not in on_stair]
+    tails = field.decode([[-row[dim - 1 - m] for row in reversed(rref)] for m in free], d)
+    return Ideal(ctx, stair, dict(zip(free, tails)))
 
 
 def zero_ideal(ctx: AlgebraContext) -> Ideal:

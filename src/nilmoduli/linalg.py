@@ -1,71 +1,83 @@
 """Exact dense linear algebra over Q or F_p.
 
 Matrices are lists of row lists whose entries are field scalars
-(Fraction or Fp); nothing here ever touches floating point.  The
-workhorse is RowSpace, an incrementally maintained reduced row echelon
-form used for span membership, canonical subspace bases and rank.
-Products run on python ints: scalars are encoded at the boundary, the
-dot products of int_dots stay in ints, and each entry is decoded once.
+(Fraction or Fp); nothing here ever touches floating point.  Every kernel
+runs on python ints: scalars are encoded at the boundary, the work stays
+in ints (the dot products of int_dots; one elimination, RowSpace, behind
+nullspace and mat_inv: residues over F_p, fraction-free integer rows over
+Q) and each entry is decoded once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from math import gcd, lcm
 from operator import mul
 
 from .fields import QQ, Fp, PrimeField
 
 
 class RowSpace:
-    """A subspace of k^ncols kept in reduced row echelon form.
+    """A subspace of k^ncols kept in reduced row echelon form on int rows:
+    residues with lead 1 over F_p, primitive rows with a positive lead
+    over Q.  A row is zero on the other pivot columns, so row / lead is the
+    canonical RREF row.  insert and reduce take field scalars; insert_ints
+    takes an int sequence (residues over F_p) at any scale, and so does
+    the constructor, for its initial rows."""
 
-    Rows are inserted one at a time; each insertion reduces the vector
-    against the current rows, and on success normalizes the new pivot to 1
-    and back-substitutes into the older rows.  The resulting basis is the
-    canonical RREF of the span, so two equal subspaces produce identical
-    row lists.
-    """
-
-    def __init__(self, field, ncols: int):
+    def __init__(self, field, ncols: int, ints=()):
         self.field = field
         self.ncols = ncols
-        self.rows: list[list] = []      # kept sorted by pivot column
+        self.ints: list[list[int]] = []  # kept sorted by pivot column
         self.pivots: list[int] = []
+        for v in ints:
+            self.insert_ints(v)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
+
+    def scaled_rref(self):
+        """(rows, d), read-only: the RREF rows are rows / d."""
+        d = 1 if self.field.p else lcm(*(r[k] for r, k in zip(self.ints, self.pivots)))
+        if d == 1:  # every lead is 1, as always over F_p
+            return self.ints, d
+        return [[x * (d // r[k]) for x in r] for r, k in zip(self.ints, self.pivots)], d
+
+    def _reduce(self, v):
+        """(w, m): v minus its combination of the rows is w / m."""
+        p, m = self.field.p, 1
+        for row, k in zip(self.ints, self.pivots):
+            if v[k]:
+                v = _cancel(p, v, v[k], row, row[k])
+                m *= row[k]
+        return v, m
 
     def reduce(self, vec: list) -> list:
         """Return the residual of vec after elimination by the current rows."""
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for k in range(p, self.ncols):
-                    if row[k]:
-                        v[k] = v[k] - c * row[k]
-        return v
+        (v,), d = self.field.encode([vec])
+        w, m = self._reduce(v)
+        return self.field.decode([w], d * m)[0]
+
+    def insert_ints(self, v) -> bool:
+        """Add the int vector v to the span; returns True if the rank rose."""
+        v, p = self._reduce(v)[0], self.field.p
+        lead = next(filter(None, v), 0)
+        if not lead:
+            return False
+        piv, v = v.index(lead), _normalize(p, v, lead)
+        for j, (row, k) in enumerate(zip(self.ints, self.pivots)):
+            if row[piv]:  # clear the new pivot column
+                row = _cancel(p, row, row[piv], v, v[piv])
+                self.ints[j] = _normalize(p, row, row[k])
+        at = bisect_left(self.pivots, piv)
+        self.ints.insert(at, v)
+        self.pivots.insert(at, piv)
+        return True
 
     def insert(self, vec: list) -> bool:
         """Add vec to the span; returns True if it increased the rank."""
-        v = self.reduce(vec)
-        piv = next((i for i, c in enumerate(v) if c), None)
-        if piv is None:
-            return False
-        lead = v[piv]
-        if lead != self.field.one:
-            v = [c / lead for c in v]
-        # clear the new pivot column in the existing rows
-        for row in self.rows:
-            c = row[piv]
-            if c:
-                for k in range(piv, self.ncols):
-                    if v[k]:
-                        row[k] = row[k] - c * v[k]
-        at = next((i for i, p in enumerate(self.pivots) if p > piv), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, piv)
-        return True
+        return self.insert_ints(self.field.encode([vec])[0][0])
 
     def extend(self, vecs) -> None:
         for v in vecs:
@@ -75,34 +87,42 @@ class RowSpace:
         return not any(self.reduce(vec))
 
     def basis(self) -> list[tuple]:
-        return [tuple(r) for r in self.rows]
+        """The canonical RREF rows, decoded once."""
+        return [tuple(r) for r in self.field.decode(*self.scaled_rref())]
+
+
+def _cancel(p: int, v, c: int, row, a: int) -> list:
+    """a v - c row, clearing the entry c of v at the pivot a of row; over
+    F_p (p nonzero) a is 1 and the result is reduced mod p."""
+    if p:
+        return [(x - c * y) % p for x, y in zip(v, row)]
+    return [a * x - c * y for x, y in zip(v, row)]
+
+
+def _normalize(p: int, v, lead: int) -> list:
+    """The multiple of v (lead its first nonzero entry) with lead 1 over
+    F_p; over Q the primitive one with a positive lead."""
+    if p:
+        inv = pow(lead, -1, p)
+        return list(v) if inv == 1 else [x * inv % p for x in v]
+    g = gcd(*v) if lead > 0 else -gcd(*v)
+    return list(v) if g == 1 else [x // g for x in v]
 
 
 def nullspace(field, rows, ncols: int):
     """Basis of the right null space {x : M x = 0} of the matrix with the
-    given rows.  Computed from the RREF by the standard non-pivot trick."""
-    space = RowSpace(field, ncols)
-    space.extend(rows)
-    piv_of_col = {p: i for i, p in enumerate(space.pivots)}
-    basis = []
-    for free in range(ncols):
-        if free in piv_of_col:
-            continue
-        v = [field.zero] * ncols
-        v[free] = field.one
-        for p, r in piv_of_col.items():
-            v[p] = -space.rows[r][free]
-        basis.append(v)
-    return basis
+    given rows, one vector per free column f: x_f = 1, the other free
+    columns 0, and x_k = -row[f] for the RREF row of pivot k."""
+    space = RowSpace(field, ncols, field.encode(rows)[0])
+    rref, d = space.scaled_rref()
+    row_of = dict(zip(space.pivots, rref))
+    basis = [[-row_of[c][f] if c in row_of else d * (c == f) for c in range(ncols)]
+             for f in range(ncols) if f not in row_of]
+    return field.decode(basis, d)
 
 
 def identity_matrix(field, n: int):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(field, n: int, m: int | None = None):
-    m = n if m is None else m
-    return [[field.zero] * m for _ in range(n)]
 
 
 def int_dots(rows, cols, p: int):
@@ -133,13 +153,15 @@ def mat_vec(a, v):
 
 def mat_inv(field, a):
     """Inverse of a square matrix, or None if singular: the RREF of [A | I]
-    is [I | A^-1] unless a pivot lands at a column >= n."""
-    n = len(a)
-    space = RowSpace(field, 2 * n)
-    space.extend([*row, *unit] for row, unit in zip(a, identity_matrix(field, n)))
+    is [I | A^-1] unless a pivot lands at a column >= n.  With A = ia / d,
+    the rows [ia | d I] span the same space."""
+    n, (ia, d) = len(a), field.encode(a)
+    space = RowSpace(field, 2 * n, ([*row, *(d * (j == i) for j in range(n))]
+                                    for i, row in enumerate(ia)))
     if any(p >= n for p in space.pivots):
         return None
-    return [row[n:] for row in space.rows]
+    rref, scale = space.scaled_rref()
+    return field.decode([row[n:] for row in rref], scale)
 
 
 def mat_eq(a, b) -> bool:

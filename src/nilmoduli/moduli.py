@@ -120,7 +120,7 @@ def _read_point(ctx: AlgebraContext, k: int, frame, classes) -> ModuliPoint:
     inv = linalg.mat_inv(ctx.field, frame)
     if inv is None:
         raise InternalCheckError(f"powers of x{k} do not span the quotient")
-    series = [linalg.mat_vec(inv, v) for v in classes]
+    series = linalg.transpose(linalg.mat_mul(inv, linalg.transpose(classes)))
     if any(f[0] for f in series):
         raise InternalCheckError("a generator has a constant term modulo the ideal")
     return ModuliPoint(ctx, k, [f[1] for f in series],

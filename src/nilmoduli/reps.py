@@ -21,9 +21,12 @@ from . import linalg
 
 class NilTuple:
     """q commuting nilpotent n x n matrices; both properties are checked.
-    powers[i][k] is N_(i+1)^k for k = 0..n, kept from the nilpotency check."""
 
-    __slots__ = ("ctx", "mats", "powers")
+    chain[i] is (pw, d), kept from the nilpotency check: pw[k - 1] is the
+    int matrix d^k N_(i+1)^k, k = 1..n.  powers[i][k] is N_(i+1)^k for
+    k = 0..n, decoded from the chain on demand."""
+
+    __slots__ = ("ctx", "mats", "chain")
 
     def __init__(self, ctx: AlgebraContext, mats):
         mats = [tuple(tuple(ctx.field.scalar(c) for c in row) for row in m)
@@ -44,18 +47,24 @@ class NilTuple:
                         != linalg.int_dots(ints[j], cols[i], field.p)):
                     raise InputInvariantError(
                         f"matrices {i+1} and {j+1} do not commute")
-        powers = []
-        for k, m in enumerate(mats):
+        chain = []
+        for k in range(len(mats)):
             pw = [ints[k]]
             for _ in range(n - 1):
                 pw.append(linalg.int_dots(pw[-1], cols[k], field.p))
             if not _is_zero_matrix(pw[-1]):
                 raise InputInvariantError(f"matrix {k+1} is not nilpotent of order {n}")
-            powers.append((linalg.identity_matrix(field, n), m,
-                           *(field.decode(x, d[k] ** e) for e, x in enumerate(pw[1:], 2))))
+            chain.append((pw, d[k]))
         self.ctx = ctx
         self.mats = tuple(mats)
-        self.powers = tuple(powers)
+        self.chain = tuple(chain)
+
+    @property
+    def powers(self) -> tuple:
+        field, n = self.ctx.field, self.ctx.n
+        return tuple((linalg.identity_matrix(field, n), m,
+                      *(field.decode(x, d ** e) for e, x in enumerate(pw[1:], 2)))
+                     for m, (pw, d) in zip(self.mats, self.chain))
 
     def __eq__(self, other):
         return (isinstance(other, NilTuple) and self.ctx.same(other.ctx)
@@ -68,7 +77,7 @@ class NilTuple:
 def evaluate(t: NilTuple, f: NilPolynomial):
     """The matrix f(N_1, ..., N_q)."""
     t.ctx.check_same(f.ctx)
-    out = linalg.zero_matrix(t.ctx.field, t.ctx.n)
+    out = [[t.ctx.field.zero] * t.ctx.n for _ in range(t.ctx.n)]
     for e, c in f.terms.items():
         term = reduce(linalg.mat_mul, [t.powers[i][k] for i, k in enumerate(e)])
         out = [[x + c * y for x, y in zip(ro, rt)] for ro, rt in zip(out, term)]
@@ -81,8 +90,8 @@ def _is_zero_matrix(m) -> bool:
 
 def _regular_index(t: NilTuple):
     """Index of the first N_i with N_i^(n-1) != 0, or None."""
-    return next((i for i in range(t.ctx.q)
-                 if not _is_zero_matrix(t.powers[i][t.ctx.n - 1])), None)
+    return next((i for i, (pw, _) in enumerate(t.chain)
+                 if not _is_zero_matrix(pw[t.ctx.n - 2])), None)
 
 
 def is_regular(t: NilTuple):
@@ -108,9 +117,8 @@ def _module_generators(t: NilTuple):
     index order.  Their classes span M/mM, so by Nakayama they generate
     the module M = k^n over the algebra."""
     n = t.ctx.n
-    space = linalg.RowSpace(t.ctx.field, n)
-    for m in t.mats:
-        space.extend(list(col) for col in linalg.transpose(m))
+    # the columns of N_i, scaled to ints: the same span
+    space = linalg.RowSpace(t.ctx.field, n, (c for pw, _ in t.chain for c in zip(*pw[0])))
     units = linalg.identity_matrix(t.ctx.field, n)
     return [e for e in units if space.insert(e)]
 
@@ -145,12 +153,13 @@ def _krylov_frame(t: NilTuple, i: int):
     """Columns v, N v, ..., N^(n-1) v for N = N_(i+1), with v the first
     standard basis vector not killed by N^(n-1); they form a basis of k^n.
     ValueError when N^(n-1) = 0."""
-    n = t.ctx.n
-    top = t.powers[i][n - 1]
-    k = next((k for k in range(n) if any(row[k] for row in top)), None)
+    n, field = t.ctx.n, t.ctx.field
+    pw, d = t.chain[i]
+    k = next((k for k in range(n) if any(row[k] for row in pw[n - 2])), None)
     if k is None:
         raise ValueError(f"matrix {i + 1} is not regular (rank of N^{n-1} is 0)")
-    return [[pw[r][k] for pw in t.powers[i][:n]] for r in range(n)]
+    cols = [[int(r == k) for r in range(n)]] + [[row[k] for row in x] for x in pw[:n - 1]]
+    return linalg.transpose([field.decode([c], d ** e)[0] for e, c in enumerate(cols)])
 
 
 def express_in_cyclic(t: NilTuple, i: int, j: int) -> NilPolynomial:

@@ -53,7 +53,7 @@ def ideal_to_json(ideal: Ideal) -> dict:
     fmt = ideal.ctx.field.format
     return {"context": context_to_json(ideal.ctx),
             "generators": [poly_to_json(g) for g in ideal.basis_polynomials()],
-            "rref": [[fmt(c) for c in row] for row in ideal.rows],
+            "rref": ideal.dense_rows("0", "1", fmt),
             "colength": ideal.colength}
 
 
@@ -125,5 +125,28 @@ def load_json(path: str) -> dict:
     return doc
 
 
+_string = json.encoder.encode_basestring_ascii
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """Exactly json.dumps(doc, indent=2) + "\n", whose indent runs the
+    stdlib's pure-Python encoder; a list of all str or all int is one join."""
+    return _dumps(doc, "\n") + "\n"
+
+
+def _dumps(obj, newline: str) -> str:
+    """obj at the depth of newline, a line break and its indent."""
+    if type(obj) is str:
+        return _string(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj:
+        items = (f"{_string(k if isinstance(k, str) else json.dumps(k))}: "
+                 f"{_dumps(v, inner)}" for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if not isinstance(obj, (list, tuple)) or not obj:
+        return json.dumps(obj)
+    kinds = set(map(type, obj))  # bool, an int subclass, takes the last route
+    items = (map(_string, obj) if kinds == {str} else map(int.__repr__, obj)
+             if kinds == {int} else (_dumps(x, inner) for x in obj))
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+

@@ -108,9 +108,78 @@ def scalar_mat_vec(a, v):
     return [sum_entries(row, v) for row in a]
 
 
+class ScalarRowSpace:
+    """The RREF kept on field scalars, one multiply-add at a time: the
+    oracle for the int elimination of linalg.RowSpace."""
+
+    def __init__(self, field, ncols):
+        self.field = field
+        self.ncols = ncols
+        self.rows = []      # kept sorted by pivot column
+        self.pivots = []
+
+    def reduce(self, vec):
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                for k in range(p, self.ncols):
+                    if row[k]:
+                        v[k] = v[k] - c * row[k]
+        return v
+
+    def insert(self, vec):
+        v = self.reduce(vec)
+        piv = next((i for i, c in enumerate(v) if c), None)
+        if piv is None:
+            return False
+        lead = v[piv]
+        if lead != self.field.one:
+            v = [c / lead for c in v]
+        for row in self.rows:
+            c = row[piv]
+            if c:
+                for k in range(piv, self.ncols):
+                    if v[k]:
+                        row[k] = row[k] - c * v[k]
+        at = next((i for i, p in enumerate(self.pivots) if p > piv), len(self.pivots))
+        self.rows.insert(at, v)
+        self.pivots.insert(at, piv)
+        return True
+
+
+def scalar_nullspace(field, rows, ncols):
+    """The oracle for linalg.nullspace: the non-pivot trick on the scalar
+    RREF."""
+    space = ScalarRowSpace(field, ncols)
+    for row in rows:
+        space.insert(row)
+    basis = []
+    for free in range(ncols):
+        if free in space.pivots:
+            continue
+        v = [field.zero] * ncols
+        v[free] = field.one
+        for p, row in zip(space.pivots, space.rows):
+            v[p] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def scalar_mat_inv(field, a):
+    """The oracle for linalg.mat_inv: the scalar RREF of [A | I]."""
+    n = len(a)
+    space = ScalarRowSpace(field, 2 * n)
+    for i, row in enumerate(a):
+        space.insert([*row, *(field.one if j == i else field.zero for j in range(n))])
+    if any(p >= n for p in space.pivots):
+        return None
+    return [row[n:] for row in space.rows]
+
+
 def gauss_jordan_inverse(field, a):
     """Inverse of a square matrix by its own Gauss-Jordan loop on [A | I],
-    or None if singular: the oracle for linalg.mat_inv through RowSpace."""
+    or None if singular: a second oracle for linalg.mat_inv."""
     n = len(a)
     aug = [list(a[i]) + [field.one if j == i else field.zero for j in range(n)]
            for i in range(n)]
@@ -167,6 +236,12 @@ def monomial_multiple_ideal(ctx, gens):
     """The ideal generated by gens as the span of every monomial multiple:
     the oracle for the closure worklist of ideal_from_generators."""
     return ideal_from_span(ctx, monomial_multiple_space(ctx, gens).basis())
+
+
+def dense_product(i, j):
+    """I * J closed from the pairwise products of the corner rows, the
+    oracle for the monomial route of Ideal.product."""
+    return ideal_from_generators(i.ctx, [g * h for g in i.generators for h in j.generators])
 
 
 def nullspace_intersect(i, j):

@@ -58,8 +58,8 @@ def test_json_classify_prints_no_polynomials(capsys, jj2_file, monkeypatch):
 
 
 def test_text_classify_builds_no_dense_rows(capsys, tmp_path, jj2_file, monkeypatch):
-    """Text classify never derives the dense rref, on any of its branches;
-    --json does, for the document."""
+    """Classify never derives the dense rows of Ideal.rows, on any branch
+    of text mode, and --json writes its rref from the staircase and tails."""
     class Dense(Exception):
         pass
 
@@ -70,14 +70,14 @@ def test_text_classify_builds_no_dense_rows(capsys, tmp_path, jj2_file, monkeypa
     e21[1][0] = e31[2][0] = f.one
     write_tuple(tmp_path / "cnr.json", 2, 3, [e21, e31])
     write_tuple(tmp_path / "zero.json", 2, 3, [zero, zero])
+    want = run(capsys, "--json", "classify", jj2_file)
     monkeypatch.setattr(Ideal, "rows", property(refuse))
     for path, code, tail in ((jj2_file, 0, "moduli point: "),
                              (tmp_path / "cnr.json", 0, "no moduli point"),
                              (tmp_path / "zero.json", 3, "not cyclic: rejected")):
         got, out, _ = run(capsys, "classify", str(path))
         assert got == code and tail in out.splitlines()[-1]
-    with pytest.raises(Dense):
-        main(["--json", "classify", jj2_file])
+    assert run(capsys, "--json", "classify", jj2_file) == want
 
 
 def test_classify_shift_only(capsys, tmp_path, ctx23):

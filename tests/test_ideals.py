@@ -16,7 +16,7 @@ from nilmoduli import (QQ, InternalCheckError, NilPolynomial,
 from nilmoduli.ideals import ideal_from_span
 from nilmoduli.linalg import mat_inv
 
-from conftest import monomial_multiple_ideal, row_image_ideal, x
+from conftest import dense_product, monomial_multiple_ideal, row_image_ideal, x
 from test_algebra import rand_poly
 
 
@@ -145,6 +145,23 @@ def test_product_against_basis_products(ctx24):
         vecs = [(a * b).to_vector() for a in i1.basis_polynomials()
                 for b in i2.basis_polynomials()]
         assert prod == ideal_from_span(ctx24, vecs)
+
+
+@st.composite
+def monomial_ideals(draw, ctx):
+    """The ideal of a few random monomials (none: the zero ideal; 1: the
+    whole algebra)."""
+    monos = draw(st.lists(st.sampled_from(ctx.monomials), max_size=4))
+    return ideal_from_generators(ctx, [NilPolynomial.monomial(ctx, e) for e in monos])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_monomial_product_equals_dense_route(data):
+    q, n = data.draw(st.integers(1, 5)), data.draw(st.integers(2, 5))
+    ctx = make_context(q, n, data.draw(st.sampled_from([QQ, PrimeField(3)])))
+    i, j = data.draw(monomial_ideals(ctx)), data.draw(monomial_ideals(ctx))
+    assert i.product(j) == dense_product(i, j)
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)])

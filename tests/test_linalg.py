@@ -8,7 +8,8 @@ from nilmoduli import ContextMismatch, PrimeField, QQ
 from nilmoduli.linalg import (RowSpace, identity_matrix, mat_eq, mat_inv,
                               mat_mul, mat_vec, nullspace)
 
-from conftest import gauss_jordan_inverse, scalar_mat_mul, scalar_mat_vec
+from conftest import (ScalarRowSpace, gauss_jordan_inverse, scalar_mat_inv,
+                      scalar_mat_mul, scalar_mat_vec, scalar_nullspace)
 
 
 def rref(field, rows):
@@ -151,6 +152,79 @@ def test_inverse_equals_gauss_jordan(case):
         assert mat_eq(mat_mul(a, got), identity_matrix(field, len(a)))
 
 
+# --- the int elimination against the scalar RREF ---------------------------
+
+KERNEL_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7)]
+
+
+def kernel_scalars(field):
+    """Q: small, negative and large (30-digit numerators over 12-digit
+    denominators) rationals and zeros; F_p: residues of ints outside
+    0..p-1, and zeros."""
+    if field is QQ:
+        return st.one_of(st.just(Fraction(0)),
+                         st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+                         st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                                   st.integers(1, 10 ** 12)))
+    return st.one_of(st.just(field.zero),
+                     st.integers(-3 * field.p, 3 * field.p).map(field.scalar))
+
+
+@st.composite
+def eliminations(draw, square=False):
+    """(field, ncols, rows): random rows with zero rows, non-primitive
+    multiples (a row times a scalar) and dependent rows (a combination of
+    two earlier rows) mixed in; square gives ncols rows."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    ncols = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(ncols if square else draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "multiple", "dependent"]))
+        a, b = draw(kernel_scalars(field)), draw(kernel_scalars(field))
+        if kind == "zero":
+            rows.append([field.zero] * ncols)
+        elif kind == "multiple" and rows:
+            rows.append([a * x for x in draw(st.sampled_from(rows))])
+        elif kind == "dependent" and rows:
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([a * x + b * y for x, y in zip(u, v)])
+        else:
+            rows.append(draw(st.lists(kernel_scalars(field), min_size=ncols, max_size=ncols)))
+    return field, ncols, rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(eliminations(), st.data())
+def test_rowspace_equals_scalar_rref(case, data):
+    field, ncols, rows = case
+    got, want = RowSpace(field, ncols), ScalarRowSpace(field, ncols)
+    for row in rows:
+        assert got.insert(row) == want.insert(row)
+    assert got.pivots == want.pivots and got.rank == len(want.rows)
+    assert got.basis() == [tuple(r) for r in want.rows]
+    assert all(type(c) is type(field.zero) for row in got.basis() for c in row)
+    probe = data.draw(st.lists(kernel_scalars(field), min_size=ncols, max_size=ncols))
+    assert got.reduce(probe) == want.reduce(probe)
+    assert got.contains(probe) == (not any(want.reduce(probe)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(eliminations())
+def test_nullspace_equals_scalar_rref(case):
+    field, ncols, rows = case
+    got = nullspace(field, rows, ncols)
+    assert got == scalar_nullspace(field, rows, ncols)
+    assert all(type(c) is type(field.zero) for v in got for c in v)
+
+
+@settings(max_examples=120, deadline=None)
+@given(eliminations(square=True))
+def test_inverse_equals_scalar_rref(case):
+    field, _, a = case
+    got = mat_inv(field, a)
+    assert got == scalar_mat_inv(field, a) == gauss_jordan_inverse(field, a)
+
+
 def test_rational_products_keep_lowest_terms():
     a = [[Fraction(1, 6), Fraction(-3, 4)]]
     b = [[Fraction(2, 3)], [Fraction(2, 9)]]
@@ -170,6 +244,19 @@ def test_mixed_fields_raise_context_mismatch(left, right):
         mat_mul(a, b)
     with pytest.raises(ContextMismatch):
         mat_vec(a, b[0])
+    space = RowSpace(left, 2)
+    space.insert(a[0])
+    for call in (space.insert, space.reduce, space.contains):
+        with pytest.raises(ContextMismatch):
+            call(b[1])
+    with pytest.raises(ContextMismatch):
+        nullspace(left, b, 2)
+    with pytest.raises(ContextMismatch):
+        nullspace(left, [a[0], b[1]], 2)
+    with pytest.raises(ContextMismatch):
+        mat_inv(left, b)
+    with pytest.raises(ContextMismatch):
+        mat_inv(left, [a[0], b[1]])
 
 
 def test_mixed_entries_inside_one_operand_raise():

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilmoduli import (NilPolynomial, annihilator, base_ideal, make_context,
                        moduli_point, multiplication_matrices, random_point,
@@ -12,6 +13,8 @@ from nilmoduli.serialize import (ParseError, context_from_json,
                                  tuple_to_json)
 
 from conftest import x
+from test_ideals import contexts
+from test_quotient_form import ideals
 
 
 def test_context_round_trip():
@@ -90,3 +93,34 @@ def test_dumps_deterministic(ctx23):
     doc = ideal_to_json(base_ideal(ctx23))
     assert dumps(doc) == dumps(ideal_to_json(base_ideal(ctx23)))
     assert "\n" == dumps(doc)[-1]
+
+
+# Arbitrary JSON: nesting, empty containers, escapes and non-ASCII text,
+# and lists mixing str, int, bool (an int subclass), float and null.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=5),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=5), JSON, max_size=5)
+       | st.lists(JSON, max_size=5) | JSON)
+def test_dumps_equals_stdlib_indent(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_dumps_edge_lists():
+    for doc in ([1, True], [True, 1], ["a", 1], [1, "a"], ["\u00e9", "\n\""],
+                [[], {}], {"k": [[1, 2], ["3"]]}, {1: [None], None: 2.5}):
+        assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rref_strings_are_the_dense_rows(data):
+    ideal = data.draw(ideals(data.draw(contexts())))
+    fmt = ideal.ctx.field.format
+    want = [[fmt(c) for c in g.to_vector()] for g in ideal.basis_polynomials()]
+    assert ideal_to_json(ideal)["rref"] == want
